@@ -37,7 +37,6 @@ from .heatflow import (
 from .solver import (
     ApproxSolution3,
     SolverConfig,
-    assemble_system,
     conservation_laws_check,
     exact_gaussian_solution,
     fixed_point_iterate,

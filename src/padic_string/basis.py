@@ -117,19 +117,27 @@ def _flag_overflow(values: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return values
 
 
+def _three_term(N: int, x: np.ndarray, scale: float) -> np.ndarray:
+    """Rows P_0(x) .. P_N(x) of P_{k+1} = scale (x P_k - k P_{k-1}), P_0 = 1.
+
+    scale 2 gives H_n, scale 1 gives V_n; the shape is (N+1,) + x.shape.
+    """
+    table = np.empty((N + 1,) + x.shape)
+    table[0] = 1.0
+    if N >= 1:
+        table[1] = scale * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, N):
+            table[k + 1] = scale * (x * table[k] - k * table[k - 1])
+    return table
+
+
 def eval_H(n: int, x) -> np.ndarray:
     """H_n(x) by the recurrence H_{n+1} = 2x H_n - 2n H_{n-1}."""
     if not 0 <= n <= _MAX_DEGREE:
         raise ValueError(f"degree must be in 0..{_MAX_DEGREE}, got {n}")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev
-    h = 2.0 * x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
-            h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    return _flag_overflow(h, n, x)
+    return _flag_overflow(_three_term(n, x, 2.0)[n], n, x)
 
 
 def eval_V(n: int, x) -> np.ndarray:
@@ -137,38 +145,17 @@ def eval_V(n: int, x) -> np.ndarray:
     if not 0 <= n <= _MAX_DEGREE:
         raise ValueError(f"degree must be in 0..{_MAX_DEGREE}, got {n}")
     x = np.asarray(x, dtype=float)
-    v_prev = np.ones_like(x)
-    if n == 0:
-        return v_prev
-    v = x.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
-            v_prev, v = v, x * v - k * v_prev
-    return _flag_overflow(v, n, x)
+    return _flag_overflow(_three_term(n, x, 1.0)[n], n, x)
 
 
 def hermite_table(N: int, x) -> np.ndarray:
     """Rows H_0(x) .. H_N(x) in one recurrence sweep; shape (N+1, len(x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((N + 1, x.size))
-    table[0] = 1.0
-    if N >= 1:
-        table[1] = 2.0 * x
-    for k in range(1, N):
-        table[k + 1] = 2.0 * x * table[k] - 2.0 * k * table[k - 1]
-    return table
+    return _three_term(N, np.asarray(x, dtype=float).ravel(), 2.0)
 
 
 def modified_hermite_table(N: int, x) -> np.ndarray:
     """Rows V_0(x) .. V_N(x); shape (N+1, len(x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((N + 1, x.size))
-    table[0] = 1.0
-    if N >= 1:
-        table[1] = x
-    for k in range(1, N):
-        table[k + 1] = x * table[k] - k * table[k - 1]
-    return table
+    return _three_term(N, np.asarray(x, dtype=float).ravel(), 1.0)
 
 
 def coeff_c(n: int, m: int) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "branch_c_targets",
     "solve_bvp_3approx",
     "gaussian_part_monomials",
-    "eval_bvp_solution",
     "odd_p_ansatz",
     "local_zero_analysis",
 ]
@@ -135,11 +134,6 @@ def gaussian_part_monomials(az: ErfAnsatz) -> np.ndarray:
         for k, hk in enumerate(hm):
             out[k] += cm * hk * az.alpha**k
     return out
-
-
-def eval_bvp_solution(az: ErfAnsatz, t):
-    """Pointwise value of the even-power boundary ansatz."""
-    return az(t)
 
 
 def odd_p_ansatz(alpha: float, c) -> object:

@@ -26,6 +26,7 @@ from .basis import (
     GridFunction,
     HermiteSeries,
     QuadratureRule,
+    _convert,
     gauss_hermite_rule,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "TaylorSeries",
     "EigenfunctionSpec",
     "EvaluationError",
+    "gauss_moment",
     "apply_K_point",
     "apply_K_grid",
     "apply_K_series",
@@ -87,17 +89,27 @@ class TaylorSeries:
         return cls(coeffs=np.asarray(json.loads(text)["taylor"], dtype=float))
 
 
-def apply_K_point(f, t, rule: QuadratureRule):
-    """(K f)(t) = pi^(-1/2) sum_i w_i f(t - u_i), vectorized over t."""
+def gauss_moment(f, t, rule: QuadratureRule, x: float = 1.0, k: int = 0):
+    """pi^(-1/2) sum_i w_i u_i^k f(t - sqrt(x) u_i), vectorized over t.
+
+    With k = 0 this is the heat flow of f at time x, so x = 1 gives (K f)(t);
+    k >= 1 gives the kernel moments behind its t-derivatives.  A non-finite
+    integrand value raises EvaluationError naming the first offending node.
+    """
     t = np.asarray(t, dtype=float)
-    shifted = t[..., None] - rule.nodes
+    shifted = t[..., None] - math.sqrt(x) * rule.nodes
     fv = np.asarray(f(shifted.ravel()), dtype=float).reshape(shifted.shape)
     bad = ~np.isfinite(fv)
     if bad.any():
         node = float(shifted.ravel()[np.flatnonzero(bad.ravel())[0]])
         raise EvaluationError(f"non-finite integrand value at tau={node}", node)
-    out = fv @ rule.weights / SQRT_PI
+    out = fv @ (rule.weights * rule.nodes**k) / SQRT_PI
     return out if out.shape else float(out)
+
+
+def apply_K_point(f, t, rule: QuadratureRule):
+    """(K f)(t) = pi^(-1/2) sum_i w_i f(t - u_i), vectorized over t."""
+    return gauss_moment(f, t, rule)
 
 
 def apply_K_grid(f, ts, rule: QuadratureRule | None = None) -> GridFunction:
@@ -249,13 +261,5 @@ def linear_chain_residuals(s: HermiteSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     if s.basis != "H":
         raise ValueError("chain residuals are defined for H-basis coefficients")
-    N = s.order
-    alt = np.zeros(N + 1)
-    plain = np.zeros(N + 1)
-    for n in range(N + 1):
-        for m in range(n + 2, N + 1, 2):
-            j = (m - n) // 2
-            term = 2.0 ** (n - m) / math.factorial(j) * s.coeffs[m]
-            alt[n] += (-1.0) ** j * term
-            plain[n] += term
-    return alt, plain
+    a = s.coeffs
+    return _convert(a, s.order, signed=True) - a, _convert(a, s.order, signed=False) - a

@@ -22,7 +22,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from .basis import SQRT_PI, GridFunction, QuadratureRule, gauss_hermite_rule
+from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
+from .gaussop import gauss_moment
 
 __all__ = [
     "Interpolant",
@@ -79,10 +80,7 @@ def poisson_eval(ip, x: float, t, rule: QuadratureRule | None = None):
     if x == 0:
         out = np.asarray(phi(t), dtype=float)
         return out if out.shape else float(out)
-    shifted = t[..., None] - math.sqrt(x) * rule.nodes
-    fv = np.asarray(phi(shifted.ravel()), dtype=float).reshape(shifted.shape)
-    out = fv @ rule.weights / SQRT_PI
-    return out if out.shape else float(out)
+    return gauss_moment(phi, t, rule, x)
 
 
 def poisson_dt(ip, x: float, t, rule: QuadratureRule | None = None):
@@ -94,11 +92,7 @@ def poisson_dt(ip, x: float, t, rule: QuadratureRule | None = None):
     phi, rule = _boundary_and_rule(ip, rule)
     if x <= 0:
         raise ValueError(f"kernel derivative needs x > 0, got {x}")
-    t = np.asarray(t, dtype=float)
-    shifted = t[..., None] - math.sqrt(x) * rule.nodes
-    fv = np.asarray(phi(shifted.ravel()), dtype=float).reshape(shifted.shape)
-    out = fv @ (rule.weights * rule.nodes) * (-2.0 / (math.sqrt(x) * SQRT_PI))
-    return out if out.shape else float(out)
+    return -2.0 / math.sqrt(x) * gauss_moment(phi, t, rule, x, k=1)
 
 
 def caloric_residual(u, x: float, t: float, h: float = 1e-3) -> float:

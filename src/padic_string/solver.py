@@ -3,7 +3,7 @@
 Three attack routes live here.  For p = 2, matching the Taylor expansion of
 phi^2 against the exact Taylor action of K on Hermite data yields an
 infinite quadratic system in the Hermite coefficients a_n; its truncations
-are assembled exactly (assemble_system) and solved either in closed form
+are assembled exactly (TruncatedSystem) and solved either in closed form
 for the four-unknown case (solve_3approx, which enumerates every branch of
 the truncated system) or by damped Newton iteration (newton_solve).  For
 general p >= 2 a grid fixed-point iteration inverts the equation as
@@ -37,6 +37,7 @@ from .basis import (
     hermite_table,
     modified_hermite_table,
 )
+from .gaussop import gauss_moment
 
 __all__ = [
     "SolverConfig",
@@ -45,7 +46,6 @@ __all__ = [
     "NewtonResult",
     "IterationResult",
     "LimitReport",
-    "assemble_system",
     "solve_3approx",
     "newton_solve",
     "power_interpolant",
@@ -109,7 +109,8 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
 
     Integrates pi^(-1/2) int f(tau) e^{-(t-tau)^2} dtau over a window
     extending `halfwidth` beyond the samples; the Gaussian kernel makes the
-    truncated tail smaller than e^{-halfwidth^2}.
+    truncated tail smaller than e^{-halfwidth^2}.  An f returning an (n, r)
+    block of r functions gives an (len(ts), r) result from one kernel.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lo = float(ts.min()) - halfwidth
@@ -117,7 +118,7 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     tau, w = panel_rule(lo, hi, breaks)
     fv = np.asarray(f(tau), dtype=float)
     kernel = np.exp(-((ts[:, None] - tau) ** 2))
-    return kernel @ (w * fv) / SQRT_PI
+    return kernel @ (w * fv.T).T / SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,6 @@ class TruncatedSystem:
             bumped[j] += step
             J[:, j] = (self.residual(bumped) - r0) / step
         return J
-
-
-def assemble_system(N: int) -> TruncatedSystem:
-    """Truncated coefficient system for p = 2 at order N (N >= 3)."""
-    return TruncatedSystem(N)
 
 
 @dataclass(frozen=True)
@@ -312,6 +308,12 @@ def newton_solve(system: TruncatedSystem, init, cfg: SolverConfig) -> NewtonResu
     return NewtonResult(HermiteSeries("H", a), "diverged", cfg.max_iter, rn, cond, trace)
 
 
+def _with_abs(v) -> np.ndarray:
+    """Columns [v, |v|], so one panel apply gives both K phi and K|phi|."""
+    v = np.asarray(v, dtype=float)
+    return np.stack([v, np.abs(v)], axis=-1)
+
+
 def _default_even_template(t):
     return np.where(np.asarray(t, dtype=float) >= 0, 1.0, -1.0)
 
@@ -393,41 +395,31 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     n_half = int(round(L / cfg.grid_step))
     ts = np.linspace(-L, L, 2 * n_half + 1)
 
-    smooth_seed = False
+    seed_rule = None
     if isinstance(phi0, GridFunction):
         vals = np.interp(ts, phi0.nodes, phi0.values)
         evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
     elif callable(phi0):
         vals = np.asarray(phi0(ts), dtype=float)
         evaluate = phi0
-        smooth_seed = True
-    else:
-        raise TypeError("phi0 must be a GridFunction or a callable")
-
-    def smoothed(f, kink_breaks):
-        return apply_K_panels(f, ts, kink_breaks), apply_K_panels(
-            lambda t: np.abs(np.asarray(f(t), dtype=float)), ts, kink_breaks
-        )
-
-    if smooth_seed:
         # a callable seed is smooth data: apply the plain Gauss-Hermite
         # rule once, exactly in the weights, before grid iterates (which
         # develop fractional-power kinks) take over
-        gh = gauss_hermite_rule(cfg.M)
-
-        def smoothed_seed(f, _unused):
-            shifted = ts[:, None] - gh.nodes
-            fv = np.asarray(f(shifted.ravel()), dtype=float).reshape(shifted.shape)
-            return fv @ gh.weights / SQRT_PI, np.abs(fv) @ gh.weights / SQRT_PI
+        seed_rule = gauss_hermite_rule(cfg.M)
+    else:
+        raise TypeError("phi0 must be a GridFunction or a callable")
 
     trace = []
     status = "max_iter"
     iterations = 0
     for it in range(cfg.max_iter):
         iterations = it + 1
-        breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
-        apply = smoothed_seed if smooth_seed and it == 0 else smoothed
-        A, scale = apply(evaluate, breaks)
+        if it == 0 and seed_rule is not None:
+            A = gauss_moment(evaluate, ts, seed_rule)
+            scale = gauss_moment(lambda t: np.abs(evaluate(t)), ts, seed_rule)
+        else:
+            breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
+            A, scale = apply_K_panels(lambda t: _with_abs(evaluate(t)), ts, breaks).T
         # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
@@ -560,10 +552,7 @@ def zero_moments(phi, t0: float, count: int, rule: QuadratureRule | None = None)
     if rule is None:
         rule = gauss_hermite_rule(96)
     f = phi if callable(phi) else GridFunction(*phi)
-    fv = np.asarray(f(t0 + rule.nodes), dtype=float)
-    return np.array(
-        [float((rule.weights * rule.nodes**k) @ fv) / SQRT_PI for k in range(count)]
-    )
+    return np.array([(-1.0) ** k * gauss_moment(f, t0, rule, k=k) for k in range(count)])
 
 
 def exact_gaussian_solution(p: int):

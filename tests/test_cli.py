@@ -28,6 +28,11 @@ class TestVerify:
         assert "suite eigen" in out and "suite parseval" in out
         assert "normbound" not in out
 
+    def test_threads_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--threads", "1", "verify"])
+        assert exc.value.code == 2
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(["verify", "--only", "nonsense"], capsys)
         assert code == 2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from padic_string import basis, gaussop
+from padic_string import basis, gaussop, heatflow, solver
 
 from conftest import const_one, hermite_fn
 
@@ -29,13 +29,23 @@ class TestApplyKGrid:
         expected = math.sqrt(1.5) * np.exp(ts**2 / 2)
         assert np.max(np.abs(out.values - expected)) < 1e-9
 
-    def test_nonfinite_value_reports_node(self, rule96):
+    @pytest.mark.parametrize(
+        "smooth",
+        [
+            lambda f, rule: gaussop.apply_K_point(f, 0.0, rule),
+            lambda f, rule: heatflow.poisson_eval(f, 1.0, 0.0, rule),
+            lambda f, rule: heatflow.poisson_dt(f, 1.0, 0.0, rule),
+            lambda f, rule: solver.zero_moments(f, 0.0, 3, rule),
+        ],
+        ids=["apply_K_point", "poisson_eval", "poisson_dt", "zero_moments"],
+    )
+    def test_nonfinite_value_reports_node(self, rule96, smooth):
         def bad(t):
             t = np.asarray(t, dtype=float)
             return np.where(t > 4.0, np.nan, t)
 
         with pytest.raises(gaussop.EvaluationError) as err:
-            gaussop.apply_K_point(bad, 0.0, rule96)
+            smooth(bad, rule96)
         assert err.value.node > 4.0  # offending sample t - u_i with u_i < -4
 
 
@@ -233,6 +243,14 @@ class TestLinearBlocks:
         alt, plain = gaussop.linear_chain_residuals(series)
         assert np.max(np.abs(alt)) == 0.0
         assert np.max(np.abs(plain)) == 0.0
+
+    def test_chain_residuals_are_conversions_minus_diagonal(self):
+        a = np.random.default_rng(3).standard_normal(12)
+        alt, plain = gaussop.linear_chain_residuals(basis.HermiteSeries("H", a))
+        as_b = basis.convert_a_to_b(basis.HermiteSeries("H", a), 11).coeffs
+        as_a = basis.convert_b_to_a(basis.HermiteSeries("V", a), 11).coeffs
+        assert plain == pytest.approx(as_b - a, abs=1e-14)
+        assert alt == pytest.approx(as_a - a, abs=1e-14)
 
     def test_single_H4_chain_value(self):
         a4 = 2.0**4 * math.factorial(4)

@@ -10,24 +10,24 @@ from conftest import const_one
 
 class TestTruncatedSystem:
     def test_constant_solution_is_exact_root(self):
-        system = solver.assemble_system(6)
+        system = solver.TruncatedSystem(6)
         a = np.zeros(7)
         a[0] = 1.0
         assert np.max(np.abs(system.residual(a))) < 1e-12
 
     def test_zero_solution_is_exact_root(self):
-        system = solver.assemble_system(4)
+        system = solver.TruncatedSystem(4)
         assert np.max(np.abs(system.residual(np.zeros(5)))) == 0.0
 
     def test_head_component_by_hand(self):
         # at a = (4, 0, 0, 0) the head equation reads 4 - 4^2 = -12
-        system = solver.assemble_system(3)
+        system = solver.TruncatedSystem(3)
         r = system.residual([4.0, 0.0, 0.0, 0.0])
         assert r[0] == pytest.approx(-12.0)
 
     def test_inner_sums_match_monomial_coefficients(self):
         # S_k is exactly the k-th monomial coefficient of phi
-        system = solver.assemble_system(5)
+        system = solver.TruncatedSystem(5)
         rng = np.random.default_rng(23)
         a = rng.standard_normal(6)
         S = system.inner_sums(a)
@@ -38,7 +38,7 @@ class TestTruncatedSystem:
     def test_rhs_matches_independent_polynomial_square(self):
         # square phi with plain polynomial multiplication and read off the
         # Taylor data t^n/n!; must equal the double-sum assembly
-        system = solver.assemble_system(3)
+        system = solver.TruncatedSystem(3)
         rng = np.random.default_rng(29)
         for _ in range(10):
             a = np.zeros(4)
@@ -51,7 +51,7 @@ class TestTruncatedSystem:
 
     def test_wide_square_consistency(self):
         # the same check against a grid: sample phi^2 and fit monomials
-        system = solver.assemble_system(3)
+        system = solver.TruncatedSystem(3)
         rng = np.random.default_rng(31)
         a = rng.standard_normal(4)
         series = basis.HermiteSeries("H", a)
@@ -63,7 +63,7 @@ class TestTruncatedSystem:
 
     def test_minimum_order(self):
         with pytest.raises(ValueError):
-            solver.assemble_system(2)
+            solver.TruncatedSystem(2)
 
 
 PRINTED_BRANCH_C = (0.7873, 0.6984, -0.4000, 1.219)
@@ -94,7 +94,7 @@ class TestThreeApproximation:
             assert s.equation_residual() < 1e-9
 
     def test_positive_head_branches_solve_full_truncation(self):
-        system = solver.assemble_system(3)
+        system = solver.TruncatedSystem(3)
         for s in solver.solve_3approx():
             if s.a0 > 0 or s.label == "trivial":
                 assert np.max(np.abs(system.residual(s.coefficients()))) < 1e-12
@@ -116,7 +116,7 @@ class TestThreeApproximation:
         # squaring the degree-3 polynomial approximant reproduces the
         # coefficients (a0, a1, a2/2, a3/6) through order t^3
         plus = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
-        S = solver.assemble_system(3).inner_sums(plus.coefficients())
+        S = solver.TruncatedSystem(3).inner_sums(plus.coefficients())
         squared = np.polynomial.polynomial.polymul(S, S)
         taylor_line = [plus.a0, plus.a1, plus.a2 / 2.0, plus.a3 / 6.0]
         assert squared[:4] == pytest.approx(taylor_line, abs=1e-12)
@@ -126,7 +126,7 @@ class TestThreeApproximation:
 
 class TestNewton:
     def test_recovers_constant_quickly(self):
-        system = solver.assemble_system(3)
+        system = solver.TruncatedSystem(3)
         cfg = solver.SolverConfig(p=2, tol=1e-12)
         result = solver.newton_solve(system, [1.001, 0, 0, 0], cfg)
         assert result.status == "converged"
@@ -134,7 +134,7 @@ class TestNewton:
         assert result.series.coeffs == pytest.approx([1, 0, 0, 0], abs=1e-10)
 
     def test_stays_on_closed_branch(self):
-        system = solver.assemble_system(3)
+        system = solver.TruncatedSystem(3)
         cfg = solver.SolverConfig(p=2, tol=1e-12)
         branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
         result = solver.newton_solve(system, branch.coefficients(), cfg)
@@ -142,7 +142,7 @@ class TestNewton:
         assert result.series.coeffs == pytest.approx(branch.coefficients(), abs=1e-9)
 
     def test_order_seven_converges_and_squares_consistently(self):
-        system = solver.assemble_system(7)
+        system = solver.TruncatedSystem(7)
         cfg = solver.SolverConfig(p=2, tol=1e-12)
         init = np.zeros(8)
         branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
@@ -157,7 +157,7 @@ class TestNewton:
 
     def test_wrong_init_length(self):
         with pytest.raises(ValueError):
-            solver.newton_solve(solver.assemble_system(3), [1.0], solver.SolverConfig(p=2))
+            solver.newton_solve(solver.TruncatedSystem(3), [1.0], solver.SolverConfig(p=2))
 
 
 class TestPowerInterpolant:
@@ -252,6 +252,16 @@ class TestResidual:
             shifted = lambda t: phi(np.asarray(t, dtype=float) + shift)
             moved = solver.residual(shifted, 2, ts=np.arange(-1.0, 1.01, 0.1), halfwidth=18.0)
             assert abs(moved - base) < 1e-8
+
+    def test_panel_block_matches_single_columns(self):
+        ts = np.linspace(-2.0, 2.0, 41)
+        f = lambda t: np.cbrt(np.asarray(t, dtype=float))
+        g = lambda t: np.abs(f(t))
+        block = solver.apply_K_panels(lambda t: np.stack([f(t), g(t)], axis=-1), ts, [0.0])
+        assert block.shape == (ts.size, 2)
+        # one matrix product in place of two: equal up to summation order
+        assert block[:, 0] == pytest.approx(solver.apply_K_panels(f, ts, [0.0]), rel=1e-13, abs=1e-15)
+        assert block[:, 1] == pytest.approx(solver.apply_K_panels(g, ts, [0.0]), rel=1e-13, abs=1e-15)
 
 
 class TestConservationLaws:
