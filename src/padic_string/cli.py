@@ -470,6 +470,9 @@ def main(argv=None) -> int:
         parser.error("eps must be positive")
     try:
         return args.func_cmd(args)
+    except gaussop.EvaluationError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .basis import (
     hermite_table,
     modified_hermite_table,
 )
-from .gaussop import gauss_moment
+from .gaussop import EvaluationError, gauss_moment
 
 __all__ = [
     "SolverConfig",
@@ -104,6 +104,26 @@ def detect_sign_changes(f, lo: float = -6.0, hi: float = 6.0, samples: int = 961
     return sorted(out)
 
 
+def _panel_kernel(ts, breaks=(), halfwidth: float = 12.0):
+    """The map f -> K f on ts, with its panel rule and dense kernel built once.
+
+    The returned callable evaluates f at the panel nodes and sums against
+    the stored kernel, so repeated applications with the same sample
+    points, breaks and window pay only for f and one matrix product.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    lo = float(ts.min()) - halfwidth
+    hi = float(ts.max()) + halfwidth
+    tau, w = panel_rule(lo, hi, breaks)
+    kernel = np.exp(-((ts[:, None] - tau) ** 2))
+
+    def apply(f) -> np.ndarray:
+        fv = np.asarray(f(tau), dtype=float)
+        return kernel @ (w * fv.T).T / SQRT_PI
+
+    return apply
+
+
 def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     """K f on the sample points via the kink-aware composite panel rule.
 
@@ -111,14 +131,10 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     extending `halfwidth` beyond the samples; the Gaussian kernel makes the
     truncated tail smaller than e^{-halfwidth^2}.  An f returning an (n, r)
     block of r functions gives an (len(ts), r) result from one kernel.
+    Each call builds its kernel afresh; fixed_point_iterate instead builds
+    one per break set and reuses it across iterations.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lo = float(ts.min()) - halfwidth
-    hi = float(ts.max()) + halfwidth
-    tau, w = panel_rule(lo, hi, breaks)
-    fv = np.asarray(f(tau), dtype=float)
-    kernel = np.exp(-((ts[:, None] - tau) ** 2))
-    return kernel @ (w * fv.T).T / SQRT_PI
+    return _panel_kernel(ts, breaks, halfwidth)(f)
 
 
 @dataclass(frozen=True)
@@ -384,7 +400,10 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     'infeasible'.  phi0 may be a GridFunction or a callable; a callable is
     used exactly in the first kernel application.  Steps are damped as
     phi <- (1-d) phi + d root(K phi); convergence is declared when the
-    max-norm change drops below cfg.tol.
+    max-norm change drops below cfg.tol.  The panel kernel for K is built
+    once per break set: it is rebuilt only when the sign changes of the
+    iterate differ from those it was built for.  A GridFunction seed with a
+    non-finite value raises EvaluationError naming the first such node.
     """
     if cfg.p < 2:
         raise ValueError("fixed-point iteration needs p >= 2")
@@ -397,6 +416,10 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
 
     seed_rule = None
     if isinstance(phi0, GridFunction):
+        bad = np.flatnonzero(~np.isfinite(phi0.values))
+        if bad.size:
+            node = float(phi0.nodes[bad[0]])
+            raise EvaluationError(f"non-finite seed value at t={node}", node)
         vals = np.interp(ts, phi0.nodes, phi0.values)
         evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
     elif callable(phi0):
@@ -412,6 +435,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     trace = []
     status = "max_iter"
     iterations = 0
+    apply_K, kernel_breaks = None, None
     for it in range(cfg.max_iter):
         iterations = it + 1
         if it == 0 and seed_rule is not None:
@@ -419,7 +443,11 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
             scale = gauss_moment(lambda t: np.abs(evaluate(t)), ts, seed_rule)
         else:
             breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
-            A, scale = apply_K_panels(lambda t: _with_abs(evaluate(t)), ts, breaks).T
+            # breaks are grid midpoints or exact grid zeros, so exact
+            # equality tells when the kernel still fits
+            if breaks != kernel_breaks:
+                apply_K, kernel_breaks = _panel_kernel(ts, breaks), breaks
+            A, scale = apply_K(lambda t: _with_abs(evaluate(t))).T
         # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)

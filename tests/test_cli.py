@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from padic_string import basis, cli
+from padic_string import basis, cli, gaussop, solver
 
 
 def run(argv, capsys):
@@ -68,6 +68,15 @@ class TestSolveCommand:
         code, _, err = run(["solve", "--p", "3", "--approx", "3"], capsys)
         assert code == 2
         assert "p = 2" in err
+
+    def test_numerical_failure_exits_one(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise gaussop.EvaluationError("non-finite seed value at t=0.5", 0.5)
+
+        monkeypatch.setattr(solver, "fixed_point_iterate", fail)
+        code, _, err = run(["solve", "--p", "3"], capsys)
+        assert code == 1
+        assert err.startswith("numerical error: ")
 
     def test_end_to_end_solve(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from padic_string import basis, solver
+from padic_string import basis, gaussop, solver
 
 from conftest import const_one
 
@@ -226,6 +228,53 @@ class TestFixedPoint:
     def test_trace_is_json_friendly(self, solved_p3):
         entry = solved_p3.trace[0]
         assert set(entry) == {"iteration", "change", "residual"}
+
+    def test_nonfinite_grid_seed_reports_node(self):
+        nodes = np.linspace(-10.0, 10.0, 401)
+        values = np.tanh(nodes)
+        values[250] = np.nan
+        with pytest.raises(gaussop.EvaluationError) as err:
+            solver.fixed_point_iterate(solver.SolverConfig(p=3), basis.GridFunction(nodes, values))
+        assert err.value.node == nodes[250]
+
+
+class TestKernelReuse:
+    @staticmethod
+    def count_panel_rules(monkeypatch) -> list:
+        calls = []
+        original = solver.panel_rule
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "panel_rule", counted)
+        return calls
+
+    def test_one_kernel_for_the_erf_kink_solve(self, monkeypatch):
+        # the seed step uses Gauss-Hermite; every later iterate keeps the
+        # break set [0.0], so a single panel kernel serves the whole run
+        calls = self.count_panel_rules(monkeypatch)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
+        assert result.converged and result.iterations > 2
+        assert len(calls) == 1
+
+    def test_kernel_rebuilt_only_when_breaks_change(self, monkeypatch):
+        calls = self.count_panel_rules(monkeypatch)
+        schedule = iter([[0.0], [0.0], [0.1], [0.1], [0.0]])
+        monkeypatch.setattr(solver, "detect_sign_changes", lambda *args, **kwargs: next(schedule))
+        nodes = np.linspace(-10.0, 10.0, 401)
+        seed = basis.GridFunction(nodes, np.tanh(nodes))
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=5), seed)
+        assert result.iterations == 5
+        assert len(calls) == 3
+
+    def test_apply_K_panels_signature_is_stable(self):
+        # the per-layer benchmark tracer binds these arguments by name
+        params = inspect.signature(solver.apply_K_panels).parameters
+        assert list(params) == ["f", "ts", "breaks", "halfwidth"]
+        assert params["breaks"].default == ()
+        assert params["halfwidth"].default == 12.0
 
 
 class TestResidual:
