@@ -309,16 +309,18 @@ def project(f, w, N: int, rule: QuadratureRule | None = None) -> HermiteSeries:
     return HermiteSeries(basis=basis, coeffs=coeffs)
 
 
-def _convert(coeffs: np.ndarray, M: int, signed: bool) -> np.ndarray:
-    out = np.zeros(M + 1)
-    for n in range(M + 1):
-        total = 0.0
-        for m in range(n, coeffs.size, 2):
-            j = (m - n) // 2
-            term = 2.0 ** (n - m) / math.factorial(j) * coeffs[m]
-            total += (-1.0) ** j * term if signed else term
-        out[n] = total
-    return out
+def _conversion_matrix(rows: int, cols: int, signed: bool) -> np.ndarray:
+    """T[n, m] = (+-1)^j 2^(n-m) / j! for m = n + 2j, zero otherwise.
+
+    T @ a converts H-coefficients a to V-coefficients; with signed=True,
+    T @ b converts V-coefficients b back to H-coefficients.
+    """
+    n = np.arange(rows)[:, None]
+    gap = np.arange(cols)[None, :] - n
+    j = np.clip(gap, 0, None) // 2
+    fact = np.array([math.factorial(k) for k in range(cols)], dtype=float)
+    entries = 2.0 ** -gap / fact[j] * ((-1.0) ** j if signed else 1.0)
+    return np.where((gap >= 0) & (gap % 2 == 0), entries, 0.0)
 
 
 def convert_a_to_b(s: HermiteSeries, M: int | None = None) -> HermiteSeries:
@@ -333,7 +335,7 @@ def convert_a_to_b(s: HermiteSeries, M: int | None = None) -> HermiteSeries:
         M = s.order + 16
     if M < s.order:
         raise ValueError("truncation order must cover the stored coefficients")
-    return HermiteSeries(basis="V", coeffs=_convert(s.coeffs, M, signed=False))
+    return HermiteSeries(basis="V", coeffs=_conversion_matrix(M + 1, s.coeffs.size, signed=False) @ s.coeffs)
 
 
 def convert_b_to_a(s: HermiteSeries, M: int | None = None) -> HermiteSeries:
@@ -344,7 +346,7 @@ def convert_b_to_a(s: HermiteSeries, M: int | None = None) -> HermiteSeries:
         M = s.order + 16
     if M < s.order:
         raise ValueError("truncation order must cover the stored coefficients")
-    return HermiteSeries(basis="H", coeffs=_convert(s.coeffs, M, signed=True))
+    return HermiteSeries(basis="H", coeffs=_conversion_matrix(M + 1, s.coeffs.size, signed=True) @ s.coeffs)
 
 
 def parseval_residual(f, s: HermiteSeries, rule: QuadratureRule) -> float:

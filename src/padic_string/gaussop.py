@@ -26,7 +26,7 @@ from .basis import (
     GridFunction,
     HermiteSeries,
     QuadratureRule,
-    _convert,
+    _conversion_matrix,
     gauss_hermite_rule,
 )
 
@@ -262,4 +262,4 @@ def linear_chain_residuals(s: HermiteSeries) -> tuple[np.ndarray, np.ndarray]:
     if s.basis != "H":
         raise ValueError("chain residuals are defined for H-basis coefficients")
     a = s.coeffs
-    return _convert(a, s.order, signed=True) - a, _convert(a, s.order, signed=False) - a
+    return tuple(_conversion_matrix(a.size, a.size, signed) @ a - a for signed in (True, False))

@@ -24,6 +24,7 @@ from scipy.optimize import brentq
 
 from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
 from .gaussop import gauss_moment
+from .solver import _admissible_limits, detect_sign_changes, panel_rule
 
 __all__ = [
     "Interpolant",
@@ -104,19 +105,6 @@ def caloric_residual(u, x: float, t: float, h: float = 1e-3) -> float:
     return abs(ux - utt / 4.0)
 
 
-def _graded_grid(a: float, b: float, centers, coarse: float = 0.02, inner: float = 1e-6) -> np.ndarray:
-    """Uniform grid on [a, b] refined geometrically around each center."""
-    pts = [np.linspace(a, b, int(round((b - a) / coarse)) + 1)]
-    for c in centers:
-        ladder = inner * 1.12 ** np.arange(0, 140)
-        ladder = ladder[ladder < (b - a)]
-        pts.append(np.clip(c + ladder, a, b))
-        pts.append(np.clip(c - ladder, a, b))
-        pts.append(np.array([c]))
-    grid = np.unique(np.concatenate(pts))
-    return grid[(grid >= a) & (grid <= b)]
-
-
 def energy_identity_residual(
     phi,
     p: int,
@@ -126,22 +114,19 @@ def energy_identity_residual(
 ) -> float:
     """|LHS - RHS| of the energy law int phi^2 (1 - phi^{2p-2}) dt = (1/2) int_0^1 int u_t^2.
 
-    Both integrals are truncated to the given t-window.  The t-grid is
-    refined near sign changes of phi (where u_t can have an integrable
-    x^(-1/6)-type spike), and the x-integral uses the substitution x = s^3
-    to flatten that spike before Gauss-Legendre quadrature.
+    Both integrals are truncated to the given t-window.  In t they use the
+    solver's graded panel rule (panel_rule) broken at the sign changes of
+    phi that detect_sign_changes finds on 801 points of the window, where
+    u_t can have an integrable x^(-1/6)-type spike; the x-integral uses the
+    substitution x = s^3 to flatten that spike before Gauss-Legendre quadrature.
     """
     if rule is None:
         rule = gauss_hermite_rule(96)
     a, b = domain
-    coarse = np.linspace(a, b, 801)
-    cv = np.asarray(phi(coarse), dtype=float)
-    flips = np.flatnonzero(np.diff(np.sign(cv)) != 0)
-    centers = [0.5 * (coarse[i] + coarse[i + 1]) for i in flips]
-    ts = _graded_grid(a, b, centers)
+    ts, wt = panel_rule(a, b, detect_sign_changes(phi, a, b, 801))
 
     pv = np.asarray(phi(ts), dtype=float)
-    lhs = float(np.trapezoid(pv**2 * (1.0 - pv ** (2 * p - 2)), ts))
+    lhs = float(wt @ (pv**2 * (1.0 - pv ** (2 * p - 2))))
 
     s_nodes, s_weights = leggauss(xsteps)
     s = 0.5 * (s_nodes + 1.0)
@@ -150,8 +135,7 @@ def energy_identity_residual(
     for si, wi in zip(s, w):
         x = si**3
         ut = poisson_dt(phi, x, ts, rule)
-        inner = float(np.trapezoid(ut**2, ts))
-        rhs += wi * 3.0 * si**2 * inner
+        rhs += wi * 3.0 * si**2 * float(wt @ ut**2)
     rhs *= 0.5
     return abs(lhs - rhs)
 
@@ -185,7 +169,7 @@ def mean_conservation_residual(
     if rule is None:
         rule = gauss_hermite_rule(96)
     a, b = window
-    admissible = (0.0, 1.0) if p % 2 == 0 else (-1.0, 0.0, 1.0)
+    admissible = _admissible_limits(p)
     edge_left = float(np.mean(np.asarray(phi(np.linspace(a, a + 0.5, 8)), dtype=float)))
     edge_right = float(np.mean(np.asarray(phi(np.linspace(b - 0.5, b, 8)), dtype=float)))
     settled = all(

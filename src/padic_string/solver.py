@@ -32,7 +32,7 @@ from .basis import (
     GridFunction,
     HermiteSeries,
     QuadratureRule,
-    coeff_c,
+    _conversion_matrix,
     gauss_hermite_rule,
     hermite_table,
     modified_hermite_table,
@@ -142,7 +142,6 @@ class SolverConfig:
     """Knobs for the truncated systems and the grid fixed-point iteration."""
 
     p: int
-    N: int = 16
     M: int = 96
     tol: float = 1e-10
     max_iter: int = 500
@@ -153,8 +152,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"power p must be a positive integer, got {self.p}")
-        if self.N < 3:
-            raise ValueError(f"truncation order must be >= 3, got {self.N}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if not 0 < self.damping <= 1:
@@ -175,11 +172,8 @@ class TruncatedSystem:
         if N < 3:
             raise ValueError(f"truncation order must be >= 3, got {N}")
         self.N = N
-        self._C = np.zeros((N + 1, N + 1))
-        for k in range(N + 1):
-            for m in range(k, N + 1, 2):
-                self._C[k, m] = coeff_c(m, k) / 2.0**m
         self._fact = np.array([math.factorial(n) for n in range(N + 1)], dtype=float)
+        self._C = _conversion_matrix(N + 1, N + 1, signed=True) / self._fact[:, None]
 
     def inner_sums(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -330,6 +324,13 @@ def _with_abs(v) -> np.ndarray:
     return np.stack([v, np.abs(v)], axis=-1)
 
 
+def _reject_nonfinite_seed(nodes, values) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        node = float(nodes[bad[0]])
+        raise EvaluationError(f"non-finite seed value at t={node}", node)
+
+
 def _default_even_template(t):
     return np.where(np.asarray(t, dtype=float) >= 0, 1.0, -1.0)
 
@@ -402,8 +403,9 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     phi <- (1-d) phi + d root(K phi); convergence is declared when the
     max-norm change drops below cfg.tol.  The panel kernel for K is built
     once per break set: it is rebuilt only when the sign changes of the
-    iterate differ from those it was built for.  A GridFunction seed with a
-    non-finite value raises EvaluationError naming the first such node.
+    iterate differ from those it was built for.  A seed with a non-finite
+    value (at a GridFunction node, or at a grid node for a callable) raises
+    EvaluationError naming the first such node.
     """
     if cfg.p < 2:
         raise ValueError("fixed-point iteration needs p >= 2")
@@ -416,14 +418,12 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
 
     seed_rule = None
     if isinstance(phi0, GridFunction):
-        bad = np.flatnonzero(~np.isfinite(phi0.values))
-        if bad.size:
-            node = float(phi0.nodes[bad[0]])
-            raise EvaluationError(f"non-finite seed value at t={node}", node)
+        _reject_nonfinite_seed(phi0.nodes, phi0.values)
         vals = np.interp(ts, phi0.nodes, phi0.values)
         evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
     elif callable(phi0):
         vals = np.asarray(phi0(ts), dtype=float)
+        _reject_nonfinite_seed(ts, vals)
         evaluate = phi0
         # a callable seed is smooth data: apply the plain Gauss-Hermite
         # rule once, exactly in the weights, before grid iterates (which
@@ -536,6 +536,11 @@ class LimitReport:
     dpow_right: float
 
 
+def _admissible_limits(p: int) -> tuple[float, ...]:
+    """The constant solutions of K phi = phi^p: {0, 1} for even p, {0, +-1} for odd p."""
+    return (0.0, 1.0) if p % 2 == 0 else (-1.0, 0.0, 1.0)
+
+
 def limit_diagnostics(phi: GridFunction, p: int, edge: float = 8.0) -> LimitReport:
     """Tail averages of phi, nearest admissible limit, and (phi^p)' at +-edge.
 
@@ -546,7 +551,7 @@ def limit_diagnostics(phi: GridFunction, p: int, edge: float = 8.0) -> LimitRepo
     t, v = phi.nodes, phi.values
     if t[0] > -edge or t[-1] < edge:
         raise ValueError(f"grid must extend past |t| = {edge}")
-    limits = (0.0, 1.0) if p % 2 == 0 else (-1.0, 0.0, 1.0)
+    limits = _admissible_limits(p)
     left_mean = float(np.mean(v[t <= -edge]))
     right_mean = float(np.mean(v[t >= edge]))
     left_limit = min(limits, key=lambda c: abs(c - left_mean))

@@ -280,6 +280,16 @@ class TestConversions:
         a = basis.convert_b_to_a(basis.HermiteSeries("V", [0, 0, 2.0]), M=4)
         assert a.coeffs == pytest.approx([-0.5, 0, 2, 0, 0])
 
+    def test_matches_termwise_sums(self):
+        # reference: the defining sums over m = n + 2j, term by term
+        c = np.random.default_rng(41).standard_normal(9)
+        for sign, convert, kind in ((1.0, basis.convert_a_to_b, "H"), (-1.0, basis.convert_b_to_a, "V")):
+            ref = [
+                sum(sign**j * 2.0 ** (-2 * j) / math.factorial(j) * c[n + 2 * j] for j in range((8 - n) // 2 + 1))
+                for n in range(13)
+            ]
+            assert convert(basis.HermiteSeries(kind, c), 12).coeffs == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=9))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, ints):

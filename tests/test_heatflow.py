@@ -87,6 +87,20 @@ class TestConservationLaws:
     def test_energy_identity_converged_solution(self, solved_p3):
         assert heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8)) < 1e-2
 
+    def test_energy_identity_grades_at_the_kink(self, solved_p3, monkeypatch):
+        # the converged odd kink has phi(0) == 0 exactly: the t-rule must be
+        # graded at that zero, not at the scan points either side of it
+        breaks = []
+        original = heatflow.panel_rule
+
+        def spy(lo, hi, brk=(), *args, **kwargs):
+            breaks.append(list(brk))
+            return original(lo, hi, brk, *args, **kwargs)
+
+        monkeypatch.setattr(heatflow, "panel_rule", spy)
+        heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8), xsteps=2)
+        assert breaks == [[0.0]]
+
     def test_mean_conservation_trivial(self):
         report = heatflow.mean_conservation_residual(const_one, 2, 0.5)
         assert report.applicable

@@ -63,6 +63,14 @@ class TestTruncatedSystem:
         squared = np.polynomial.polynomial.polymul(S, S)
         assert fitted[:7] == pytest.approx(squared[:7], abs=1e-8)
 
+    def test_inner_sums_are_scaled_conversion(self):
+        # S_k(a) is the k-th H-coefficient of the V-series with data a, over k!
+        N = 16
+        a = np.random.default_rng(37).standard_normal(N + 1)
+        converted = basis.convert_b_to_a(basis.HermiteSeries("V", a), N).coeffs
+        fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=float)
+        assert solver.TruncatedSystem(N).inner_sums(a) == pytest.approx(converted / fact, rel=1e-12, abs=0)
+
     def test_minimum_order(self):
         with pytest.raises(ValueError):
             solver.TruncatedSystem(2)
@@ -237,6 +245,12 @@ class TestFixedPoint:
             solver.fixed_point_iterate(solver.SolverConfig(p=3), basis.GridFunction(nodes, values))
         assert err.value.node == nodes[250]
 
+    def test_nonfinite_callable_seed_reports_node(self):
+        seed = lambda t: np.where(np.asarray(t) == 0, np.nan, np.tanh(t))
+        with pytest.raises(gaussop.EvaluationError) as err:
+            solver.fixed_point_iterate(solver.SolverConfig(p=3, damping=0.5), seed)
+        assert err.value.node == 0.0
+
 
 class TestKernelReuse:
     @staticmethod
@@ -377,8 +391,6 @@ class TestConfigValidation:
     def test_field_validation(self):
         with pytest.raises(ValueError):
             solver.SolverConfig(p=0)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(p=2, N=2)
         with pytest.raises(ValueError):
             solver.SolverConfig(p=2, tol=0.0)
         with pytest.raises(ValueError):
