@@ -115,7 +115,10 @@ def _panel_kernel(ts, breaks=(), halfwidth: float = 12.0):
     lo = float(ts.min()) - halfwidth
     hi = float(ts.max()) + halfwidth
     tau, w = panel_rule(lo, hi, breaks)
-    kernel = np.exp(-((ts[:, None] - tau) ** 2))
+    kernel = ts[:, None] - tau  # exp(-(t - tau)^2), built in place in one buffer
+    np.square(kernel, out=kernel)
+    np.negative(kernel, out=kernel)
+    np.exp(kernel, out=kernel)
 
     def apply(f) -> np.ndarray:
         fv = np.asarray(f(tau), dtype=float)

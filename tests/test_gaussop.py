@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from padic_string import basis, gaussop, heatflow, solver
 
 from conftest import const_one, hermite_fn
 
 SQRT_PI = math.sqrt(math.pi)
+_GRID = np.linspace(-20.0, 20.0, 161)
+_POWER_SPLINE = solver.power_interpolant(_GRID, np.tanh(_GRID), 3)
 
 
 class TestApplyKGrid:
@@ -32,21 +38,57 @@ class TestApplyKGrid:
     @pytest.mark.parametrize(
         "smooth",
         [
-            lambda f, rule: gaussop.apply_K_point(f, 0.0, rule),
-            lambda f, rule: heatflow.poisson_eval(f, 1.0, 0.0, rule),
-            lambda f, rule: heatflow.poisson_dt(f, 1.0, 0.0, rule),
-            lambda f, rule: solver.zero_moments(f, 0.0, 3, rule),
+            lambda f, t, rule: gaussop.apply_K_point(f, t, rule),
+            lambda f, t, rule: heatflow.poisson_eval(f, 1.0, t, rule),
+            lambda f, t, rule: heatflow.poisson_dt(f, 1.0, t, rule),
+            lambda f, t, rule: solver.zero_moments(f, t, 3, rule),
         ],
         ids=["apply_K_point", "poisson_eval", "poisson_dt", "zero_moments"],
     )
     def test_nonfinite_value_reports_node(self, rule96, smooth):
         def bad(t):
             t = np.asarray(t, dtype=float)
-            return np.where(t > 4.0, np.nan, t)
+            return np.where((t > 4.0) & (t < 5.0), np.nan, t)
 
+        # t = -1 meets the bad window at a lower node index than t = 0 does,
+        # so only the t-major order (t first, then node) reports t = 0
+        ts = np.array([0.0, -1.0])
+        samples = (ts[:, None] - rule96.nodes).ravel()
+        expected = samples[np.flatnonzero(np.isnan(bad(samples)))[0]]
         with pytest.raises(gaussop.EvaluationError) as err:
-            smooth(bad, rule96)
-        assert err.value.node > 4.0  # offending sample t - u_i with u_i < -4
+            smooth(bad, ts, rule96)
+        assert err.value.node == expected
+        node_major = (ts[None, :] - rule96.nodes[:, None]).ravel()
+        assert node_major[np.flatnonzero(np.isnan(bad(node_major)))[0]] != expected
+
+
+class TestGaussMomentOrder:
+    """gauss_moment evaluates node-major but sums exactly as the t-major formula."""
+
+    @given(
+        shape=hnp.array_shapes(min_dims=0, max_dims=2, max_side=8),
+        data=st.data(),
+        k=st.integers(min_value=0, max_value=3),
+        x=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+        M=st.sampled_from([5, 32, 96]),
+        which=st.sampled_from(["erf", "tanh", "spline"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_t_major_reference(self, shape, data, k, x, M, which):
+        t = data.draw(hnp.arrays(float, shape, elements=st.floats(-6.0, 6.0)))
+        rule = basis.gauss_hermite_rule(M)
+        base = {"erf": erf, "tanh": np.tanh, "spline": _POWER_SPLINE}[which]
+        calls = []
+
+        def f(tau):
+            calls.append(np.shape(tau))
+            return base(tau)
+
+        got = gaussop.gauss_moment(f, t, rule, x, k)
+        shifted = np.asarray(t)[..., None] - math.sqrt(x) * rule.nodes
+        ref = base(shifted) @ (rule.weights * rule.nodes**k) / SQRT_PI
+        assert np.array_equal(got, ref)
+        assert calls == [(int(np.size(t)) * M,)]
 
 
 class TestApplyKSeries:

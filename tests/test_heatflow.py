@@ -101,6 +101,48 @@ class TestConservationLaws:
         heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8), xsteps=2)
         assert breaks == [[0.0]]
 
+    def test_energy_identity_matches_untrimmed_rule(self, solved_p3, rule96):
+        # the check keeps 58 of the 96 Gauss-Hermite nodes; recompute the law
+        # with every node to show the dropped terms do not move the result
+        phi, a, b = solved_p3.phi, -8.0, 8.0
+        ts, wt = solver.panel_rule(a, b, solver.detect_sign_changes(phi, a, b, 801))
+        pv = phi(ts)
+        lhs = wt @ (pv**2 * (1.0 - pv**4))
+        s_nodes, s_weights = np.polynomial.legendre.leggauss(32)
+        rhs = 0.0
+        for s, w in zip(0.5 * (s_nodes + 1.0), 0.5 * s_weights):
+            rhs += w * 3.0 * s**2 * (wt @ heatflow.poisson_dt(phi, s**3, ts, rule96) ** 2)
+        reference = abs(lhs - 0.5 * rhs)
+        got = heatflow.energy_identity_residual(phi, 3, domain=(a, b))
+        assert got == pytest.approx(reference, rel=1e-15, abs=0)
+
+    def test_energy_identity_samples_the_trimmed_rule(self, solved_p3):
+        sizes = []
+
+        def phi(t):
+            sizes.append(np.size(t))
+            return solved_p3.phi(t)
+
+        heatflow.energy_identity_residual(phi, 3, domain=(-8, 8), xsteps=3)
+        # sign scan, the left-hand side on the t-rule, then one u_t per x-node
+        assert sizes[0] == 801
+        assert sizes[2:] == [58 * sizes[1]] * 3
+
+    def test_energy_identity_rejects_nan_within_reach(self, solved_p3):
+        # with xsteps=2 the larger heat time is x = s^3, s = (1 + 3^-1/2)/2;
+        # NaN from 8 + 6 sqrt(x) on lies inside the kept reach 6.72 sqrt(x)
+        x = ((1.0 + 3.0**-0.5) / 2.0) ** 3
+        cut = 8.0 + 6.0 * math.sqrt(x)
+        phi = lambda t: np.where(np.asarray(t) > cut, np.nan, solved_p3.phi(t))
+        with pytest.raises(gaussop.EvaluationError) as err:
+            heatflow.energy_identity_residual(phi, 3, domain=(-8, 8), xsteps=2)
+        assert err.value.node > cut
+
+    @pytest.mark.parametrize("xsteps", [0, -3])
+    def test_energy_identity_rejects_empty_x_rule(self, xsteps):
+        with pytest.raises(ValueError, match="xsteps"):
+            heatflow.energy_identity_residual(const_one, 2, xsteps=xsteps)
+
     def test_mean_conservation_trivial(self):
         report = heatflow.mean_conservation_residual(const_one, 2, 0.5)
         assert report.applicable
