@@ -468,6 +468,8 @@ def main(argv=None) -> int:
         parser.error(f"invalid --n {args.n}")
     if getattr(args, "eps", None) is not None and args.command == "branch" and not args.eps > 0:
         parser.error("eps must be positive")
+    if args.command == "solve" and args.out is not None and args.approx is None:
+        parser.error("--out is only for the --approx table; name the solver output with --out-prefix")
     try:
         return args.func_cmd(args)
     except gaussop.EvaluationError as exc:

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
 from .gaussop import gauss_moment
-from .solver import _admissible_limits, detect_sign_changes, panel_rule
+from .solver import _admissible_limits, apply_K_panels, detect_sign_changes, panel_rule
 
 __all__ = [
     "Interpolant",
@@ -105,51 +104,27 @@ def caloric_residual(u, x: float, t: float, h: float = 1e-3) -> float:
     return abs(ux - utt / 4.0)
 
 
-def energy_identity_residual(
-    phi,
-    p: int,
-    rule: QuadratureRule | None = None,
-    domain: tuple[float, float] = (-10.0, 10.0),
-    xsteps: int = 32,
-) -> float:
-    """|LHS - RHS| of the energy law int phi^2 (1 - phi^{2p-2}) dt = (1/2) int_0^1 int u_t^2.
+def energy_identity_residual(phi, p: int, domain: tuple[float, float] = (-10.0, 10.0)) -> float:
+    """|int (K phi)^2 - phi^{2p} dt| on the window: the energy law in closed form.
 
-    Both integrals are truncated to the given t-window.  In t they use the
-    solver's graded panel rule (panel_rule) broken at the sign changes of
-    phi that detect_sign_changes finds on 801 points of the window, where
-    u_t can have an integrable x^(-1/6)-type spike; the x-integral uses the
-    substitution x = s^3 to flatten that spike before Gauss-Legendre quadrature.
+    The law int phi^2 (1 - phi^{2p-2}) = (1/2) int_0^1 int u_t^2 holds for a
+    solution of K phi = phi^p.  Since u_x = u_tt / 4, integration by parts
+    gives d/dx int u^2 dt = (1/2) [u u_t] - (1/2) int u_t^2 dt, so on the
+    full line the right side is int phi^2 - int (K phi)^2 and the law's
+    residual is |int (K phi)^2 - int phi^{2p}|.  The window drops the
+    boundary flux (1/2) int_0^1 [u u_t]_a^b dx.
 
-    phi must be bounded (a kink candidate with finite limits).  u_t then
-    keeps only the Gauss-Hermite nodes with w_i |v_i| above 2^-64 of the
-    largest such term, also for a caller-supplied rule; the dropped terms
-    lie far below an ulp of the sum.  The default rule keeps 58 of its 96
-    nodes (|v_i| <= 6.72), so phi is sampled only within 6.72 sqrt(x) of
-    the window at heat time x, not out to the largest node (13.12).
+    The t-integral uses the graded panel_rule at the sign changes that
+    detect_sign_changes finds on 801 points of the window, and K phi is one
+    apply_K_panels call at its nodes with the same breaks, so phi is sampled
+    up to 12 beyond the window.
     """
-    if rule is None:
-        rule = gauss_hermite_rule(96)
-    if xsteps < 1:
-        raise ValueError(f"xsteps must be a positive integer, got {xsteps}")
-    mass = rule.weights * np.abs(rule.nodes)
-    keep = mass > 2.0**-64 * mass.max()
-    rule = QuadratureRule(rule.nodes[keep], rule.weights[keep], int(keep.sum()))
     a, b = domain
-    ts, wt = panel_rule(a, b, detect_sign_changes(phi, a, b, 801))
-
+    breaks = detect_sign_changes(phi, a, b, 801)
+    ts, wt = panel_rule(a, b, breaks)
+    kphi = apply_K_panels(phi, ts, breaks)
     pv = np.asarray(phi(ts), dtype=float)
-    lhs = float(wt @ (pv**2 * (1.0 - pv ** (2 * p - 2))))
-
-    s_nodes, s_weights = leggauss(xsteps)
-    s = 0.5 * (s_nodes + 1.0)
-    w = 0.5 * s_weights
-    rhs = 0.0
-    for si, wi in zip(s, w):
-        x = si**3
-        ut = poisson_dt(phi, x, ts, rule)
-        rhs += wi * 3.0 * si**2 * float(wt @ ut**2)
-    rhs *= 0.5
-    return abs(lhs - rhs)
+    return abs(float(wt @ (kphi**2 - pv ** (2 * p))))
 
 
 @dataclass(frozen=True)

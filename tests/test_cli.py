@@ -69,6 +69,15 @@ class TestSolveCommand:
         assert code == 2
         assert "p = 2" in err
 
+    def test_out_without_approx_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--p", "3", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "--out-prefix" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_exits_one(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise gaussop.EvaluationError("non-finite seed value at t=0.5", 0.5)

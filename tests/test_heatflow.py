@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from padic_string import basis, gaussop, heatflow, solver
 
@@ -73,19 +74,45 @@ class TestPoisson:
             assert heatflow.poisson_dt(f, x, t, rule96) == pytest.approx(fd, abs=1e-8)
 
 
+def sliced_energy_reference(phi, p, a, b, rule, xsteps=32):
+    """The energy law integrated over heat-time slices, with the window's boundary flux.
+
+    Signed int phi^2 (1 - phi^{2p-2}) - (1/2) int_0^1 int_a^b u_t^2
+    + (1/2) int_0^1 [u u_t]_a^b dx with x = s^3 and a Gauss-Legendre rule
+    in s; by u_x = u_tt / 4 it equals int_a^b (K phi)^2 - phi^{2p}.
+    """
+    ts, wt = solver.panel_rule(a, b, solver.detect_sign_changes(phi, a, b, 801))
+    pv = phi(ts)
+    lhs = wt @ (pv**2 * (1.0 - pv ** (2 * p - 2)))
+    ends = np.array([a, b])
+    s_nodes, s_weights = np.polynomial.legendre.leggauss(xsteps)
+    rhs = flux = 0.0
+    for s, w in zip(0.5 * (s_nodes + 1.0), 0.5 * s_weights):
+        x = s**3
+        rhs += w * 3.0 * s**2 * (wt @ heatflow.poisson_dt(phi, x, ts, rule) ** 2)
+        uut = heatflow.poisson_eval(phi, x, ends, rule) * heatflow.poisson_dt(phi, x, ends, rule)
+        flux += w * 3.0 * s**2 * (uut[1] - uut[0])
+    return lhs - 0.5 * rhs + 0.5 * flux
+
+
 class TestConservationLaws:
     def test_energy_identity_trivial(self):
         assert heatflow.energy_identity_residual(const_one, 2) < 1e-12
 
     def test_energy_identity_reports_for_surrogate(self):
-        # diagnostic only: a tanh step is not a solution, the residual is
-        # just required to be finite
+        # a tanh step is not a solution: the residual stays finite and far from 0
         f = lambda t: np.tanh(np.asarray(t, dtype=float))
-        value = heatflow.energy_identity_residual(f, 3, domain=(-8, 8), xsteps=16)
+        value = heatflow.energy_identity_residual(f, 3, domain=(-8, 8))
         assert math.isfinite(value)
+        assert value > 0.1
 
     def test_energy_identity_converged_solution(self, solved_p3):
-        assert heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8)) < 1e-2
+        assert heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8)) < 1e-8
+
+    def test_energy_identity_converged_p5_kink(self):
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=5, grid_step=0.025), erf)
+        assert result.converged
+        assert heatflow.energy_identity_residual(result.phi, 5, domain=(-8, 8)) < 1e-8
 
     def test_energy_identity_grades_at_the_kink(self, solved_p3, monkeypatch):
         # the converged odd kink has phi(0) == 0 exactly: the t-rule must be
@@ -98,50 +125,50 @@ class TestConservationLaws:
             return original(lo, hi, brk, *args, **kwargs)
 
         monkeypatch.setattr(heatflow, "panel_rule", spy)
-        heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8), xsteps=2)
+        heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8))
         assert breaks == [[0.0]]
 
-    def test_energy_identity_matches_untrimmed_rule(self, solved_p3, rule96):
-        # the check keeps 58 of the 96 Gauss-Hermite nodes; recompute the law
-        # with every node to show the dropped terms do not move the result
-        phi, a, b = solved_p3.phi, -8.0, 8.0
-        ts, wt = solver.panel_rule(a, b, solver.detect_sign_changes(phi, a, b, 801))
-        pv = phi(ts)
-        lhs = wt @ (pv**2 * (1.0 - pv**4))
-        s_nodes, s_weights = np.polynomial.legendre.leggauss(32)
-        rhs = 0.0
-        for s, w in zip(0.5 * (s_nodes + 1.0), 0.5 * s_weights):
-            rhs += w * 3.0 * s**2 * (wt @ heatflow.poisson_dt(phi, s**3, ts, rule96) ** 2)
-        reference = abs(lhs - 0.5 * rhs)
-        got = heatflow.energy_identity_residual(phi, 3, domain=(a, b))
-        assert got == pytest.approx(reference, rel=1e-15, abs=0)
+    @pytest.mark.parametrize(
+        "f",
+        [
+            np.tanh,
+            lambda t: erf(np.asarray(t) / 2.0),
+            lambda t: erf(2.0 * np.asarray(t)),
+            lambda t: np.exp(-np.asarray(t) ** 2),
+        ],
+        ids=["tanh", "erf_half", "erf_double", "gaussian"],
+    )
+    def test_energy_identity_matches_sliced_reference(self, f, rule96):
+        # the closed form against the heat-flow integral it replaces, taken
+        # over 32 slices with every Gauss-Hermite node and the boundary flux
+        reference = sliced_energy_reference(f, 3, -8.0, 8.0, rule96)
+        got = heatflow.energy_identity_residual(f, 3, domain=(-8, 8))
+        assert got == pytest.approx(abs(reference), rel=1e-12, abs=0)
 
-    def test_energy_identity_samples_the_trimmed_rule(self, solved_p3):
-        sizes = []
+    def test_energy_identity_is_one_K_apply(self, solved_p3, monkeypatch):
+        calls = []
+        original = heatflow.apply_K_panels
 
-        def phi(t):
-            sizes.append(np.size(t))
-            return solved_p3.phi(t)
+        def spy(f, ts, breaks=(), *args, **kwargs):
+            calls.append((np.asarray(ts), list(breaks)))
+            return original(f, ts, breaks, *args, **kwargs)
 
-        heatflow.energy_identity_residual(phi, 3, domain=(-8, 8), xsteps=3)
-        # sign scan, the left-hand side on the t-rule, then one u_t per x-node
-        assert sizes[0] == 801
-        assert sizes[2:] == [58 * sizes[1]] * 3
+        monkeypatch.setattr(heatflow, "apply_K_panels", spy)
+        heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8))
+        assert len(calls) == 1
+        ts, breaks = calls[0]
+        # K phi is taken at the nodes of the t-rule, with its breaks
+        assert breaks == [0.0]
+        np.testing.assert_array_equal(ts, solver.panel_rule(-8.0, 8.0, [0.0])[0])
 
     def test_energy_identity_rejects_nan_within_reach(self, solved_p3):
-        # with xsteps=2 the larger heat time is x = s^3, s = (1 + 3^-1/2)/2;
-        # NaN from 8 + 6 sqrt(x) on lies inside the kept reach 6.72 sqrt(x)
-        x = ((1.0 + 3.0**-0.5) / 2.0) ** 3
-        cut = 8.0 + 6.0 * math.sqrt(x)
+        # K phi on the window (-8, 8) reaches 12 beyond it: NaN from 14 on
+        # lies outside the window but inside the kernel's reach
+        cut = 14.0
         phi = lambda t: np.where(np.asarray(t) > cut, np.nan, solved_p3.phi(t))
         with pytest.raises(gaussop.EvaluationError) as err:
-            heatflow.energy_identity_residual(phi, 3, domain=(-8, 8), xsteps=2)
-        assert err.value.node > cut
-
-    @pytest.mark.parametrize("xsteps", [0, -3])
-    def test_energy_identity_rejects_empty_x_rule(self, xsteps):
-        with pytest.raises(ValueError, match="xsteps"):
-            heatflow.energy_identity_residual(const_one, 2, xsteps=xsteps)
+            heatflow.energy_identity_residual(phi, 3, domain=(-8, 8))
+        assert cut < err.value.node <= 20.0
 
     def test_mean_conservation_trivial(self):
         report = heatflow.mean_conservation_residual(const_one, 2, 0.5)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from padic_string import basis, gaussop, solver
@@ -289,6 +292,51 @@ class TestKernelReuse:
         assert list(params) == ["f", "ts", "breaks", "halfwidth"]
         assert params["breaks"].default == ()
         assert params["halfwidth"].default == 12.0
+
+
+def dense_K(f, ts, breaks, halfwidth=12.0):
+    """K f with the full kernel exp(-(t - tau)^2) over the whole panel window."""
+    tau, w = solver.panel_rule(ts.min() - halfwidth, ts.max() + halfwidth, breaks)
+    return np.exp(-((ts[:, None] - tau) ** 2)) @ (w * f(tau)) / math.sqrt(math.pi)
+
+
+class TestBandedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ts=hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(-10.0, 10.0)),
+        breaks=st.lists(st.floats(-10.0, 10.0), max_size=3),
+        xi=st.floats(0.25, 3.0),
+    )
+    def test_plane_wave_eigenvalue(self, ts, breaks, xi):
+        # K cos(xi .) = e^{-xi^2/4} cos(xi .) at unsorted samples, in input order
+        got = solver.apply_K_panels(lambda t: np.cos(xi * t), ts, breaks)
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, math.exp(-xi * xi / 4.0) * np.cos(xi * ts), rtol=0, atol=1e-13)
+
+    def test_matches_dense_kernel_on_the_kink(self, solved_p3):
+        ts = solved_p3.grid.nodes
+        breaks = solver.detect_sign_changes(solved_p3.phi)
+        banded = solver.apply_K_panels(solved_p3.phi, ts, breaks)
+        np.testing.assert_allclose(banded, dense_K(solved_p3.phi, ts, breaks), rtol=0, atol=1e-15)
+
+    def test_matches_dense_kernel_on_growing_solution(self):
+        phi, _ = solver.exact_gaussian_solution(3)
+        ts = np.arange(-2.0, 2.01, 0.05)
+        banded = solver.apply_K_panels(phi, ts, [], halfwidth=18.0)
+        np.testing.assert_allclose(banded, dense_K(phi, ts, [], halfwidth=18.0), rtol=1e-12)
+
+    def test_apply_rejects_nonfinite_integrand(self):
+        f = lambda t: np.where(np.asarray(t) > 3.0, np.nan, np.tanh(t))
+        with pytest.raises(gaussop.EvaluationError) as err:
+            solver.apply_K_panels(f, np.linspace(-2.0, 2.0, 9))
+        assert 3.0 < err.value.node < 3.5
+
+    def test_residual_rejects_nonfinite_candidate(self):
+        f = lambda t: np.where(np.asarray(t) < -5.0, np.inf, np.tanh(t))
+        with pytest.raises(gaussop.EvaluationError) as err:
+            solver.residual(f, 3)
+        # the first panel node below -5 in a window reaching 12 past |t| <= 2
+        assert -14.0 <= err.value.node < -5.0
 
 
 class TestResidual:
