@@ -468,6 +468,12 @@ def main(argv=None) -> int:
         parser.error(f"invalid --n {args.n}")
     if getattr(args, "eps", None) is not None and args.command == "branch" and not args.eps > 0:
         parser.error("eps must be positive")
+    if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
+        parser.error(f"--step must be positive and finite, got {args.step}")
+    if hasattr(args, "tmin") and not -math.inf < args.tmin <= args.tmax < math.inf:
+        parser.error(f"--tmin and --tmax must be finite with --tmax >= --tmin, got {args.tmin} and {args.tmax}")
+    if args.command == "bvp" and not 1 < args.alpha_sq < math.inf:
+        parser.error(f"--alpha-sq must be finite and exceed 1, got {args.alpha_sq}")
     if args.command == "solve" and args.out is not None and args.approx is None:
         parser.error("--out is only for the --approx table; name the solver output with --out-prefix")
     try:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
 from .gaussop import gauss_moment
@@ -229,6 +228,10 @@ def branching_roots(n: int) -> np.ndarray:
     bisection to ~1e-13.  All Lambda_k must come out positive and distinct;
     anything else indicates a bug and raises AssertionError.
     """
+    # scipy.optimize is imported where brentq runs (here, track_zeros and
+    # zero_report), so the CLI calls that never polish a root do not load it.
+    from scipy.optimize import brentq
+
     poly = branching_polynomial(n)
     raw = np.roots(poly.Lambda_coeffs)
     scale = np.max(np.abs(raw))
@@ -274,6 +277,8 @@ def track_zeros(u, n: int, eps: float) -> TrackedZeros:
     (lambda_k/2) sqrt(eps).  A root count different from 2n is reported via
     the mismatch flag (the branching count is only asymptotic in eps).
     """
+    from scipy.optimize import brentq
+
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 0.5], got {eps}")
     lam = branching_roots(n)
@@ -364,6 +369,8 @@ def zero_report(g: GridFunction, jump_factor: float = 8.0) -> ZeroReport:
     the grid spacing, below which linear interpolation would flatten every
     zero to first order.
     """
+    from scipy.optimize import brentq
+
     t, v = g.nodes, g.values
     h_grid = float(np.median(np.diff(t)))
     j_lo = max(0, math.ceil(-math.log2(min(0.25, 32 * h_grid))))

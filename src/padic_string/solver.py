@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .basis import (
     SQRT_PI,
@@ -183,6 +182,8 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.grid_halfwidth < 5:
             raise ValueError("grid halfwidth must be >= 5")
+        if not 0 < self.grid_step < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
 
 
 class TruncatedSystem:
@@ -379,6 +380,10 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     sign template (even p).  Outside the grid the edge powers extend as
     constants.
     """
+    # Imported here, not at module level: scipy.interpolate is about a third
+    # of the package's import time, and most CLI calls never build a spline.
+    from scipy.interpolate import CubicSpline
+
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     powers = values * np.abs(values) ** (p - 1)

@@ -220,3 +220,28 @@ class TestSmallCommands:
         assert code == 0
         script = (tmp_path / "h.csv.gp").read_text()
         assert "plot" in script
+
+
+class TestOptionUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hermite", "--n", "3", "--step", "0"], "--step must be positive and finite, got 0.0"),
+            (["solve", "--p", "3", "--step", "0"], "--step must be positive and finite, got 0.0"),
+            (["apply-k", "--step", "-0.1"], "--step must be positive and finite, got -0.1"),
+            (["interp", "--x", "0.5", "--step", "nan"], "--step must be positive and finite, got nan"),
+            (["apply-k", "--tmin", "3", "--tmax", "-3"], "--tmax >= --tmin, got 3.0 and -3.0"),
+            (["hermite", "--n", "3", "--tmax", "inf"], "--tmin and --tmax must be finite"),
+            (["bvp", "--alpha-sq", "-1"], "--alpha-sq must be finite and exceed 1, got -1.0"),
+            (["bvp", "--alpha-sq", "1"], "--alpha-sq must be finite and exceed 1, got 1.0"),
+        ],
+        ids=["hermite-zero-step", "solve-zero-step", "negative-step", "nan-step",
+             "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one"],
+    )
+    def test_exits_two_naming_the_option(self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

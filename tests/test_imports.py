@@ -1,0 +1,66 @@
+"""Import budget of a CLI process, measured in fresh interpreters.
+
+scipy.interpolate (the power spline) and scipy.optimize (brentq) are
+imported inside the functions that use them, so a subcommand that never
+builds a spline or polishes a root does not pay for loading them.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import padic_string
+from padic_string import cli
+
+LAZY = ("scipy.interpolate", "scipy.optimize")
+SRC = str(Path(padic_string.__file__).resolve().parent.parent)
+
+# Runs each argv through cli.main in one process and prints, per call, the
+# exit code and which of LAZY are loaded after it.
+RUN_CALLS = """
+import json, sys
+from padic_string import cli
+LAZY = {lazy!r}
+out = []
+for argv in json.loads(sys.argv[1]):
+    rc = cli.main(argv)
+    out.append([rc, [m for m in LAZY if m in sys.modules]])
+print(json.dumps(out))
+"""
+
+
+def fresh_python(code: str, *args: str, cwd=None) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if cwd is not None:
+        env[cli.OUTDIR_ENV] = str(cwd)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["padic_string", "padic_string.cli"])
+def test_import_leaves_spline_and_root_finder_unloaded(module):
+    loaded = fresh_python(f"import sys, {module}; print([m for m in {LAZY!r} if m in sys.modules])")
+    assert loaded == "[]"
+
+
+def test_non_iterating_subcommands_stay_within_budget(tmp_path):
+    calls = [
+        ["hermite", "--n", "3"],
+        ["apply-k", "--func", "erf"],
+        ["interp", "--x", "0.5"],
+        ["bvp"],
+        ["verify"],
+        ["solve", "--p", "2", "--approx", "3"],
+        ["branch", "--n", "2"],
+    ]
+    results = json.loads(fresh_python(RUN_CALLS.format(lazy=LAZY), json.dumps(calls), cwd=tmp_path))
+    assert results[:-1] == [[0, []]] * (len(calls) - 1)
+    # branch polishes its roots with brentq, so it alone loads scipy.optimize
+    assert results[-1] == [0, ["scipy.optimize"]]

@@ -445,3 +445,8 @@ class TestConfigValidation:
             solver.SolverConfig(p=2, damping=1.5)
         with pytest.raises(ValueError):
             solver.SolverConfig(p=2, grid_halfwidth=3.0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+    def test_grid_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="grid step must be positive and finite"):
+            solver.SolverConfig(p=3, grid_step=step)
