@@ -11,8 +11,8 @@ any four target coefficients a_0..a_3 inverts in closed form
 (solve_bvp_3approx); the default targets are the mixed branch of the
 truncated p=2 coefficient system.  The odd-power analogue replaces the base
 by erf(t) alone.  local_zero_analysis measures the fractional-power law of
-an odd solution at its zero: the slope a_1 from the weighted first moment
-and the exponent 1/(2q+1) from a log-log fit.
+an odd solution at the zero it locates: the slope a_1 from the weighted
+first moment and the exponent 1/(2q+1) from a log-log fit.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 from .basis import SQRT_PI, GridFunction, hermite_table
-from .solver import panel_rule, power_interpolant, solve_3approx
+from .solver import detect_sign_changes, panel_rule, power_interpolant, solve_3approx
 
 __all__ = [
     "ErfAnsatz",
@@ -151,7 +151,7 @@ def odd_p_ansatz(alpha: float, c) -> object:
 
 @dataclass(frozen=True)
 class LocalZeroReport:
-    """Fractional-power law of an odd solution at the origin."""
+    """Fractional-power law of an odd solution at its zero."""
 
     a1: float
     fitted_exponent: float
@@ -165,31 +165,32 @@ def local_zero_analysis(
     fit_window: tuple[float, float] = (1e-3, 1e-1),
     fit_points: int = 25,
 ) -> LocalZeroReport:
-    """Measure phi ~ (a1 t)^{1/(2q+1)} at the origin for an odd candidate.
+    """Measure phi ~ (a1 (t - t0))^{1/(2q+1)} at the zero t0 of an odd candidate.
 
-    a1 comes from the weighted first moment (4/sqrt(pi)) int_0^inf
-    phi(tau) e^{-tau^2} tau dtau, evaluated as a full-line panel quadrature
-    of the even integrand (graded at the origin, where the integrand has a
-    fractional-power kink); the exponent is a log-log fit of |phi| on the
-    window.  A GridFunction input is evaluated through the smooth power
-    interpolant for p = 2q+1, which keeps the fit meaningful below the grid
-    spacing.
+    t0 is the one sign change detect_sign_changes finds on |t| <= 6 (none or
+    several raise ValueError).  a1 comes from the weighted first moment
+    (4/sqrt(pi)) int_0^inf phi(t0 + s) e^{-s^2} s ds, a panel quadrature of
+    the even integrand over |s| <= 12 graded at its kink s = 0; the exponent
+    is a log-log fit of |phi(t0 + s)| on the window of s.  A GridFunction
+    input is evaluated through the smooth power interpolant for p = 2q+1,
+    which keeps the fit meaningful below the grid spacing.
     """
     if q < 0:
         raise ValueError("q must be a non-negative integer")
-    if isinstance(phi, GridFunction):
-        f = power_interpolant(phi.nodes, phi.values, 2 * q + 1)
-    else:
-        f = phi
+    f = power_interpolant(phi.nodes, phi.values, 2 * q + 1) if isinstance(phi, GridFunction) else phi
+    zeros = detect_sign_changes(f)
+    if len(zeros) != 1:
+        raise ValueError(f"candidate must change sign exactly once on |t| <= 6, found {len(zeros)}")
+    [t0] = zeros
     probes = np.array([0.5, 1.0, 2.0])
-    odd_dev = float(np.max(np.abs(np.asarray(f(probes)) + np.asarray(f(-probes)))))
+    odd_dev = float(np.max(np.abs(np.asarray(f(t0 + probes)) + np.asarray(f(t0 - probes)))))
     if odd_dev > 1e-3:
-        raise ValueError(f"candidate is not odd within 1e-3 (deviation {odd_dev:.2e})")
+        raise ValueError(f"candidate is not odd about t0={t0} within 1e-3 (deviation {odd_dev:.2e})")
     tau, w = panel_rule(-12.0, 12.0, breaks=(0.0,))
-    fv = np.asarray(f(tau), dtype=float)
+    fv = np.asarray(f(t0 + tau), dtype=float)
     a1 = 2.0 * float((w * tau * np.exp(-tau * tau)) @ fv) / SQRT_PI
     ts = np.geomspace(fit_window[0], fit_window[1], fit_points)
-    vals = np.abs(np.asarray(f(ts), dtype=float))
+    vals = np.abs(np.asarray(f(t0 + ts), dtype=float))
     if np.any(vals == 0):
         raise ValueError("candidate vanishes on the fit window; cannot fit an exponent")
     slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])

@@ -466,8 +466,8 @@ def main(argv=None) -> int:
         parser.error(f"power p must be >= 2, got {args.p}")
     if getattr(args, "n", None) is not None and args.command in ("branch", "hermite") and args.n < (1 if args.command == "branch" else 0):
         parser.error(f"invalid --n {args.n}")
-    if getattr(args, "eps", None) is not None and args.command == "branch" and not args.eps > 0:
-        parser.error("eps must be positive")
+    if args.command == "branch" and not 0 < args.eps <= 0.5:
+        parser.error(f"--eps must be in (0, 0.5], got {args.eps}")
     if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
         parser.error(f"--step must be positive and finite, got {args.step}")
     if hasattr(args, "tmin") and not -math.inf < args.tmin <= args.tmax < math.inf:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
 from .gaussop import gauss_moment
-from .solver import _admissible_limits, apply_K_panels, detect_sign_changes, panel_rule
+from .solver import _admissible_limits, _bisect, _sign_brackets, apply_K_panels, detect_sign_changes, panel_rule
 
 __all__ = [
     "Interpolant",
@@ -224,14 +224,11 @@ def branching_roots(n: int) -> np.ndarray:
     """The 2n simple real locations +-sqrt(Lambda_k), sorted increasing.
 
     Lambda roots come from companion-matrix eigenvalues (imaginary parts
-    below 1e-8 relative are discarded) and are polished by bracketed
-    bisection to ~1e-13.  All Lambda_k must come out positive and distinct;
-    anything else indicates a bug and raises AssertionError.
+    below 1e-8 relative are discarded) and are polished by bisection between
+    the midpoints of consecutive estimates (and 0 and twice the largest).
+    All Lambda_k must come out positive, bracketed and distinct; anything
+    else indicates a bug and raises AssertionError.
     """
-    # scipy.optimize is imported where brentq runs (here, track_zeros and
-    # zero_report), so the CLI calls that never polish a root do not load it.
-    from scipy.optimize import brentq
-
     poly = branching_polynomial(n)
     raw = np.roots(poly.Lambda_coeffs)
     scale = np.max(np.abs(raw))
@@ -240,18 +237,11 @@ def branching_roots(n: int) -> np.ndarray:
     lam = np.sort(raw.real)
     if np.any(lam <= 0):
         raise AssertionError(f"non-positive branching root for n={n}: {lam}")
-    pval = lambda L: float(np.polyval(poly.Lambda_coeffs, L))
-    polished = []
-    for L in lam:
-        lo, hi = L, L
-        step = max(1e-9, 1e-9 * L)
-        while pval(lo) * pval(hi) > 0 and step < 0.5 * L:
-            lo, hi = L - step, L + step
-            step *= 2.0
-        if pval(lo) * pval(hi) < 0:
-            L = brentq(pval, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        polished.append(L)
-    lam = np.array(polished)
+    edges = np.concatenate([[0.0], 0.5 * (lam[1:] + lam[:-1]), [2.0 * lam[-1]]])
+    pv = np.sign(np.polyval(poly.Lambda_coeffs, edges))
+    if np.any(pv[1:] * pv[:-1] >= 0):
+        raise AssertionError(f"branching root estimates do not bracket the roots for n={n}: {lam}")
+    lam = _bisect(lambda L: np.polyval(poly.Lambda_coeffs, L), edges[:-1], edges[1:])
     if np.any(np.diff(lam) <= 0):
         raise AssertionError(f"branching roots not distinct for n={n}: {lam}")
     roots = np.sqrt(lam)
@@ -270,32 +260,20 @@ class TrackedZeros:
 
 
 def track_zeros(u, n: int, eps: float) -> TrackedZeros:
-    """Locate the roots of u(1-eps, .) by sign scan plus bracketed bisection.
+    """Locate the roots of u(1-eps, .) with detect_sign_changes (scan, then bisection).
 
     u is either a callable u(x, t) or an Interpolant.  The scan covers
-    |t| <= 3 sqrt(eps) max|lambda| with step sqrt(eps)/50; predictions are
-    (lambda_k/2) sqrt(eps).  A root count different from 2n is reported via
-    the mismatch flag (the branching count is only asymptotic in eps).
+    |t| <= 3 sqrt(eps) max|lambda| with step about sqrt(eps)/50; predictions
+    are (lambda_k/2) sqrt(eps).  A root count different from 2n is reported
+    via the mismatch flag (the branching count is only asymptotic in eps).
     """
-    from scipy.optimize import brentq
-
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 0.5], got {eps}")
     lam = branching_roots(n)
     predicted = 0.5 * lam * math.sqrt(eps)
-    g = (lambda t: poisson_eval(u, 1.0 - eps, t)) if isinstance(u, Interpolant) else (
-        lambda t: u(1.0 - eps, t)
-    )
     half = 3.0 * math.sqrt(eps) * float(np.max(np.abs(lam)))
-    step = math.sqrt(eps) / 50.0
-    ts = np.arange(-half, half + step, step)
-    gv = np.asarray(g(ts), dtype=float)
-    roots = []
-    for i in np.flatnonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0):
-        roots.append(brentq(lambda t: float(g(t)), ts[i], ts[i + 1], xtol=1e-15, rtol=8.9e-16))
-    for i in np.flatnonzero(gv == 0.0):
-        roots.append(float(ts[i]))
-    roots = np.sort(np.unique(np.asarray(roots)))
+    steps = math.ceil(half / (math.sqrt(eps) / 50.0))
+    roots = np.array(detect_sign_changes(lambda t: u(1.0 - eps, t), -half, half, 2 * steps + 1))
     return TrackedZeros(
         n=n, eps=eps, roots=roots, predicted=predicted, mismatch=roots.size != 2 * n
     )
@@ -362,15 +340,14 @@ def zero_report(g: GridFunction, jump_factor: float = 8.0) -> ZeroReport:
     """Classify sign changes of grid data into genuine zeros and jumps.
 
     A node gap whose value change exceeds jump_factor times the median
-    neighbour change is reported as a discontinuity of the first kind with
-    its saltus; remaining sign changes are refined by bisection on the
-    interpolant and classified by the dyadic slope fit (multiplicity,
+    neighbour change is reported as a discontinuity of the first kind (at
+    the gap's midpoint) with its saltus; remaining sign changes are refined
+    by bisection on the interpolant and, with exact zeros at nodes,
+    classified by the dyadic slope fit (multiplicity,
     rounded to the nearest integer >= 1).  The dyadic ladder stays above
     the grid spacing, below which linear interpolation would flatten every
     zero to first order.
     """
-    from scipy.optimize import brentq
-
     t, v = g.nodes, g.values
     h_grid = float(np.median(np.diff(t)))
     j_lo = max(0, math.ceil(-math.log2(min(0.25, 32 * h_grid))))
@@ -384,16 +361,10 @@ def zero_report(g: GridFunction, jump_factor: float = 8.0) -> ZeroReport:
         except ValueError:
             return 1
 
-    jumps = []
-    zeros = []
-    for i in np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0):
-        if dv[i] > jump_factor * med:
-            jumps.append((float(0.5 * (t[i] + t[i + 1])), float(v[i + 1] - v[i])))
-            continue
-        root = brentq(lambda s: float(g(s)), t[i], t[i + 1], xtol=1e-13)
-        zeros.append((float(root), multiplicity_at(float(root))))
-    for i in np.flatnonzero(v == 0.0):
-        zeros.append((float(t[i]), multiplicity_at(float(t[i]))))
-    zeros.sort()
-    jumps.sort()
+    idx, exact = _sign_brackets(t, v)
+    is_jump = dv[idx] > jump_factor * med
+    jumps = [(float(0.5 * (t[i] + t[i + 1])), float(v[i + 1] - v[i])) for i in idx[is_jump]]
+    smooth = idx[~is_jump]
+    located = _bisect(g, t[smooth], t[smooth + 1]) if smooth.size else smooth
+    zeros = sorted((float(z), multiplicity_at(float(z))) for z in np.concatenate([located, exact]))
     return ZeroReport(zeros=zeros, jumps=jumps)

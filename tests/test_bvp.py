@@ -210,6 +210,17 @@ class TestLocalZeroAnalysis:
         report = bvp.local_zero_analysis(solved_p3.grid, 1)
         assert report.a1 == pytest.approx(a1, abs=1e-6)
 
+    def test_measures_about_the_located_zero(self):
+        cube_root = lambda t: np.cbrt(np.asarray(t, dtype=float)) * np.exp(-np.asarray(t, dtype=float) ** 2)
+        centred = bvp.local_zero_analysis(cube_root, 1)
+        shifted = bvp.local_zero_analysis(lambda t: cube_root(np.asarray(t, dtype=float) - 0.7), 1)
+        assert shifted.fitted_exponent == pytest.approx(centred.fitted_exponent, abs=1e-9)
+        assert shifted.a1 == pytest.approx(centred.a1, abs=1e-12)
+
+    def test_rejects_candidates_without_a_zero(self):
+        with pytest.raises(ValueError, match="exactly once"):
+            bvp.local_zero_analysis(lambda t: 2.0 + np.tanh(np.asarray(t, dtype=float)), 1)
+
     def test_rejects_even_candidates(self):
         with pytest.raises(ValueError):
             bvp.local_zero_analysis(lambda t: np.cos(np.asarray(t, dtype=float)), 1)

@@ -234,9 +234,12 @@ class TestOptionUsageErrors:
             (["hermite", "--n", "3", "--tmax", "inf"], "--tmin and --tmax must be finite"),
             (["bvp", "--alpha-sq", "-1"], "--alpha-sq must be finite and exceed 1, got -1.0"),
             (["bvp", "--alpha-sq", "1"], "--alpha-sq must be finite and exceed 1, got 1.0"),
+            (["branch", "--n", "2", "--eps", "0"], "--eps must be in (0, 0.5], got 0.0"),
+            (["branch", "--n", "2", "--eps", "0.7"], "--eps must be in (0, 0.5], got 0.7"),
         ],
         ids=["hermite-zero-step", "solve-zero-step", "negative-step", "nan-step",
-             "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one"],
+             "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one",
+             "zero-eps", "eps-above-half"],
     )
     def test_exits_two_naming_the_option(self, argv, message, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

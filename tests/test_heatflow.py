@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -237,6 +238,19 @@ class TestBranchingRoots:
         assert roots == pytest.approx(-roots[::-1], abs=1e-12)
         squared = np.sort(roots[roots > 0] ** 2)
         assert np.all(np.diff(squared) > 0)  # distinct Lambda roots
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_against_mpmath_roots(self, n):
+        with mpmath.workdps(30):
+            coeffs = [
+                mpmath.mpf(-1) ** m / (mpmath.factorial(2 * n - 2 * m) * mpmath.factorial(m))
+                for m in range(n + 1)
+            ]
+            lam = sorted(mpmath.re(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=60))
+            positive = np.array([float(mpmath.sqrt(L)) for L in lam])
+        reference = np.concatenate([-positive[::-1], positive])
+        rel = np.max(np.abs(heatflow.branching_roots(n) - reference) / np.abs(reference))
+        assert rel <= (1e-12 if n <= 12 else 1e-8)
 
     def test_polynomial_in_lambda_squared(self):
         # n=2 polynomial should be proportional to Lambda^2 - 12 Lambda + 12

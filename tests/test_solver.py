@@ -1,14 +1,15 @@
+import functools
 import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
-from padic_string import basis, gaussop, solver
+from padic_string import basis, bvp, gaussop, solver
 
 from conftest import const_one
 
@@ -232,6 +233,13 @@ class TestFixedPoint:
         result = solver.fixed_point_iterate(cfg, wiggle)
         assert result.status == "infeasible"
 
+    def test_even_p_residual_uses_the_equations_power(self, rule96):
+        # phi^p is |phi|^p for even p, also where the sign template is -1
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=2, max_iter=1), erf)
+        ts = result.grid.nodes
+        expected = np.max(np.abs(gaussop.apply_K_point(erf, ts, rule96) - erf(ts) ** 2))
+        assert result.trace[0]["residual"] == pytest.approx(expected, abs=1e-12)
+
     def test_p_one_rejected(self):
         with pytest.raises(ValueError):
             solver.fixed_point_iterate(solver.SolverConfig(p=1), const_one)
@@ -253,6 +261,55 @@ class TestFixedPoint:
         with pytest.raises(gaussop.EvaluationError) as err:
             solver.fixed_point_iterate(solver.SolverConfig(p=3, damping=0.5), seed)
         assert err.value.node == 0.0
+
+
+class TestZeroLocator:
+    def test_sine_zeros_to_rounding(self):
+        zeros = solver.detect_sign_changes(np.sin, -6.0, 6.0)
+        np.testing.assert_allclose(zeros, [-math.pi, 0.0, math.pi], rtol=0, atol=1e-14)
+
+    def test_exact_node_zero_reported_once(self):
+        # 0 is a scan node; the cube has no strict sign change beside it
+        zeros = solver.detect_sign_changes(lambda t: np.asarray(t, dtype=float) ** 3, -1.0, 1.0, 21)
+        assert zeros == [0.0]
+
+    def test_jump_located_at_the_discontinuity(self):
+        step = lambda t: np.where(np.asarray(t, dtype=float) < 0.3, -1.0, 2.0)
+        [jump] = solver.detect_sign_changes(step, -1.0, 1.0, 21)
+        assert jump == pytest.approx(0.3, abs=1e-15)
+
+    def test_bisect_refines_every_bracket_together(self):
+        roots = solver._bisect(np.cos, np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.0, 8.0]))
+        np.testing.assert_allclose(roots, [0.5, 1.5, 2.5] * np.array(math.pi), rtol=0, atol=1e-14)
+
+
+@functools.cache
+def centred_kink(p: int) -> solver.IterationResult:
+    return solver.fixed_point_iterate(solver.SolverConfig(p, grid_step=0.025), erf)
+
+
+class TestTranslationCovariance:
+    # K commutes with shifts, so erf(a (t - s)) must converge to the centred
+    # kink moved by s, with its zero located at s
+    @settings(max_examples=6, deadline=None)
+    @given(s=st.floats(-2.0, 2.0), a=st.floats(0.6, 2.0), p=st.sampled_from([3, 5]))
+    @example(s=0.3, a=1.3, p=3)  # the zero falls on a grid node
+    @example(s=1.2345, a=1.3, p=3)
+    def test_off_centre_seed_converges_to_the_shifted_kink(self, s, a, p):
+        result = solver.fixed_point_iterate(
+            solver.SolverConfig(p, grid_step=0.025), lambda t: erf(a * (np.asarray(t, dtype=float) - s))
+        )
+        assert result.converged
+        [t0] = solver.detect_sign_changes(result.phi)
+        assert abs(t0 - s) < 1e-8
+        centred = centred_kink(p)
+        ts = np.linspace(-6.0, 6.0, 1201)
+        assert np.max(np.abs(result.phi(ts) ** p - centred.phi(ts - s) ** p)) < 1e-8
+        assert solver.residual(result.phi, p, ts=result.grid.nodes) < 1e-6
+        local = bvp.local_zero_analysis(result.grid, (p - 1) // 2)
+        assert abs(local.fitted_exponent - 1.0 / p) < 0.05 / p
+        assert local.a1 > 0
+        assert local.a1 == pytest.approx(bvp.local_zero_analysis(centred.grid, (p - 1) // 2).a1, abs=1e-8)
 
 
 class TestKernelReuse:
@@ -285,6 +342,15 @@ class TestKernelReuse:
         result = solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=5), seed)
         assert result.iterations == 5
         assert len(calls) == 3
+
+    def test_kernel_kept_while_breaks_agree_within_tolerance(self, monkeypatch):
+        calls = self.count_panel_rules(monkeypatch)
+        schedule = iter([[0.0], [5e-11], [-5e-11], [2e-10], [2e-10]])
+        monkeypatch.setattr(solver, "detect_sign_changes", lambda *args, **kwargs: next(schedule))
+        nodes = np.linspace(-10.0, 10.0, 401)
+        seed = basis.GridFunction(nodes, np.tanh(nodes))
+        solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=5), seed)
+        assert len(calls) == 2
 
     def test_apply_K_panels_signature_is_stable(self):
         # the per-layer benchmark tracer binds these arguments by name
