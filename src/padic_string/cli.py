@@ -151,7 +151,6 @@ def cmd_solve(args) -> int:
     init = {"erf": lambda t: erf(np.asarray(t, dtype=float)), "one": lambda t: np.ones_like(np.asarray(t, dtype=float))}[args.init]
     cfg = solver.SolverConfig(
         p=args.p,
-        M=args.quadrature,
         tol=args.tol,
         max_iter=args.max_iter,
         damping=args.damping,
@@ -416,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--approx", type=int, default=None, help="print the closed-form truncation table instead of iterating")
     p.add_argument("--init", choices=["erf", "one"], default="erf")
-    p.add_argument("--quadrature", type=int, default=96)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--damping", type=float, default=1.0)

@@ -200,13 +200,12 @@ def heat_polynomial_interpolant(n: int):
 class BranchingPolynomial:
     """Branching equation of a multiplicity-2n zero, in lambda^2 and in Lambda.
 
-    lambda_coeffs[m] multiplies lambda^{2n-2m}; Lambda_coeffs are the same
-    numbers read as a degree-n polynomial in Lambda = lambda^2 (leading
-    coefficient first).
+    Lambda_coeffs[m] multiplies Lambda^{n-m} with Lambda = lambda^2 (leading
+    coefficient first), so the same array also gives the coefficients of
+    lambda^{2n-2m}.
     """
 
     n: int
-    lambda_coeffs: np.ndarray
     Lambda_coeffs: np.ndarray
 
 
@@ -217,7 +216,7 @@ def branching_polynomial(n: int) -> BranchingPolynomial:
     coeffs = np.array(
         [(-1.0) ** m / (math.factorial(2 * n - 2 * m) * math.factorial(m)) for m in range(n + 1)]
     )
-    return BranchingPolynomial(n=n, lambda_coeffs=coeffs, Lambda_coeffs=coeffs.copy())
+    return BranchingPolynomial(n=n, Lambda_coeffs=coeffs)
 
 
 def branching_roots(n: int) -> np.ndarray:

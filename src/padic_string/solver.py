@@ -185,10 +185,13 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the truncated systems and the grid fixed-point iteration."""
+    """Knobs for the truncated systems and the grid fixed-point iteration.
+
+    The grid has step grid_step on [-grid_halfwidth, grid_halfwidth]; a step
+    that does not divide the halfwidth is rejected, naming the nearest that does.
+    """
 
     p: int
-    M: int = 96
     tol: float = 1e-10
     max_iter: int = 500
     damping: float = 1.0
@@ -202,10 +205,14 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
-        if self.grid_halfwidth < 5:
-            raise ValueError("grid halfwidth must be >= 5")
+        if not 5 <= self.grid_halfwidth < math.inf:
+            raise ValueError(f"grid halfwidth must be finite and >= 5, got {self.grid_halfwidth}")
         if not 0 < self.grid_step < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
+        n = max(1, round(self.grid_halfwidth / self.grid_step))
+        if abs(self.grid_halfwidth / self.grid_step - n) > 1e-9 * n:
+            raise ValueError(f"grid step {self.grid_step} does not divide the halfwidth "
+                             f"{self.grid_halfwidth}; the nearest step that does is {self.grid_halfwidth / n}")
 
 
 class TruncatedSystem:
@@ -409,7 +416,7 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     powers = values * np.abs(values) ** (p - 1)
-    spline = CubicSpline(nodes, powers) if p > 1 else CubicSpline(nodes, values)
+    spline = CubicSpline(nodes, powers)
     lo, hi = nodes[0], nodes[-1]
     p_lo, p_hi = powers[0], powers[-1]
 
@@ -417,9 +424,7 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
         t = np.asarray(t, dtype=float)
         sv = np.asarray(spline(np.clip(t, lo, hi)), dtype=float)
         sv = np.where(t < lo, p_lo, np.where(t > hi, p_hi, sv))
-        if p == 1:
-            out = sv
-        elif p % 2 == 1:
+        if p % 2 == 1:
             out = np.sign(sv) * np.abs(sv) ** (1.0 / p)
         else:
             out = sign_template(t) * np.abs(sv) ** (1.0 / p)
@@ -450,16 +455,17 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     For odd p the root keeps the sign of K phi; for even p the sign comes
     from the template (default sgn(t)) and K phi must stay >= -tol, since a
     solution's power is non-negative; a violation stops the run with status
-    'infeasible'.  phi0 may be a GridFunction or a callable; a callable is
-    used exactly in the first kernel application.  Steps are damped as
+    'infeasible'.  phi0 is a GridFunction or a callable; a callable is the
+    first iterate, so it need not be smooth: every iteration applies K with
+    the panel kernel graded at the iterate's sign changes, built once per
+    break set and rebuilt only when a break appears, vanishes or moves by
+    more than _BREAK_TOL.  Steps are damped as
     phi <- (1-d) phi + d root(K phi); convergence is declared when the grid
     residual max |K phi - phi^p| (the trace's 'residual', at d = 1 the change
     of the smooth power) drops below cfg.tol; the change of phi, which stalls
-    at eps^(1/p) at a zero on a grid node, decides only 'diverged'.  The panel
-    kernel for K is built once per break set, and rebuilt only when a break
-    appears, vanishes or moves by more than _BREAK_TOL.  A seed with a non-finite
-    value (at a GridFunction node, or at a grid node for a callable) raises
-    EvaluationError naming the first such node.
+    at eps^(1/p) at a zero on a grid node, decides only 'diverged'.  A seed
+    with a non-finite value (at a GridFunction node, or at a grid or panel
+    node for a callable) raises EvaluationError naming the first such node.
     """
     if cfg.p < 2:
         raise ValueError("fixed-point iteration needs p >= 2")
@@ -470,7 +476,6 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     n_half = int(round(L / cfg.grid_step))
     ts = np.linspace(-L, L, 2 * n_half + 1)
 
-    seed_rule = None
     if isinstance(phi0, GridFunction):
         _reject_nonfinite_seed(phi0.nodes, phi0.values)
         vals = np.interp(ts, phi0.nodes, phi0.values)
@@ -479,10 +484,6 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         vals = np.asarray(phi0(ts), dtype=float)
         _reject_nonfinite_seed(ts, vals)
         evaluate = phi0
-        # a callable seed is smooth data: apply the plain Gauss-Hermite
-        # rule once, exactly in the weights, before grid iterates (which
-        # develop fractional-power kinks) take over
-        seed_rule = gauss_hermite_rule(cfg.M)
     else:
         raise TypeError("phi0 must be a GridFunction or a callable")
 
@@ -492,16 +493,12 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     apply_K, kernel_breaks = None, None
     for it in range(cfg.max_iter):
         iterations = it + 1
-        if it == 0 and seed_rule is not None:
-            A = gauss_moment(evaluate, ts, seed_rule)
-            scale = gauss_moment(lambda t: np.abs(evaluate(t)), ts, seed_rule)
-        else:
-            breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
-            if apply_K is None or len(breaks) != len(kernel_breaks) or any(
-                abs(b - k) > _BREAK_TOL for b, k in zip(breaks, kernel_breaks)
-            ):
-                apply_K, kernel_breaks = _panel_kernel(ts, breaks), breaks
-            A, scale = apply_K(lambda t: _with_abs(evaluate(t))).T
+        breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
+        if apply_K is None or len(breaks) != len(kernel_breaks) or any(
+            abs(b - k) > _BREAK_TOL for b, k in zip(breaks, kernel_breaks)
+        ):
+            apply_K, kernel_breaks = _panel_kernel(ts, breaks), breaks
+        A, scale = apply_K(lambda t: _with_abs(evaluate(t))).T
         # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)

@@ -78,6 +78,13 @@ class TestSolveCommand:
         assert "--out-prefix" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_step_that_does_not_divide_the_halfwidth_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, _, err = run(["solve", "--p", "3", "--step", "0.03"], capsys)
+        assert code == 2
+        assert "grid step 0.03 does not divide" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_exits_one(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise gaussop.EvaluationError("non-finite seed value at t=0.5", 0.5)
@@ -236,10 +243,11 @@ class TestOptionUsageErrors:
             (["bvp", "--alpha-sq", "1"], "--alpha-sq must be finite and exceed 1, got 1.0"),
             (["branch", "--n", "2", "--eps", "0"], "--eps must be in (0, 0.5], got 0.0"),
             (["branch", "--n", "2", "--eps", "0.7"], "--eps must be in (0, 0.5], got 0.7"),
+            (["solve", "--p", "3", "--quadrature", "96"], "unrecognized arguments: --quadrature 96"),
         ],
         ids=["hermite-zero-step", "solve-zero-step", "negative-step", "nan-step",
              "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one",
-             "zero-eps", "eps-above-half"],
+             "zero-eps", "eps-above-half", "solve-quadrature-removed"],
     )
     def test_exits_two_naming_the_option(self, argv, message, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

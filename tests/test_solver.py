@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import math
@@ -240,6 +241,14 @@ class TestFixedPoint:
         expected = np.max(np.abs(gaussop.apply_K_point(erf, ts, rule96) - erf(ts) ** 2))
         assert result.trace[0]["residual"] == pytest.approx(expected, abs=1e-12)
 
+    def test_sign_seed_is_smoothed_exactly(self):
+        # a non-smooth callable seed goes through the panel kernel graded at
+        # its jump: K sgn = erf, so the first iterate is cbrt(erf)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=1), np.sign)
+        ts = result.grid.nodes
+        assert result.trace[0]["residual"] == pytest.approx(np.max(np.abs(erf(ts) - np.sign(ts))), abs=1e-12)
+        assert np.max(np.abs(result.grid.values - np.cbrt(erf(ts)))) < 1e-12
+
     def test_p_one_rejected(self):
         with pytest.raises(ValueError):
             solver.fixed_point_iterate(solver.SolverConfig(p=1), const_one)
@@ -326,8 +335,8 @@ class TestKernelReuse:
         return calls
 
     def test_one_kernel_for_the_erf_kink_solve(self, monkeypatch):
-        # the seed step uses Gauss-Hermite; every later iterate keeps the
-        # break set [0.0], so a single panel kernel serves the whole run
+        # the seed and every later iterate share the break set [0.0], so a
+        # single panel kernel serves the whole run, the seed step included
         calls = self.count_panel_rules(monkeypatch)
         result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
         assert result.converged and result.iterations > 2
@@ -511,8 +520,22 @@ class TestConfigValidation:
             solver.SolverConfig(p=2, damping=1.5)
         with pytest.raises(ValueError):
             solver.SolverConfig(p=2, grid_halfwidth=3.0)
+        with pytest.raises(ValueError, match="grid halfwidth must be finite"):
+            solver.SolverConfig(p=2, grid_halfwidth=math.inf)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
     def test_grid_step_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError, match="grid step must be positive and finite"):
             solver.SolverConfig(p=3, grid_step=step)
+
+    def test_grid_step_must_divide_the_halfwidth(self):
+        with pytest.raises(ValueError, match=r"grid step 0\.03 does not divide .* is 0\.03003"):
+            solver.SolverConfig(p=3, grid_step=0.03)
+
+    @pytest.mark.parametrize("halfwidth, step", [(10.0, 0.025), (10.0, 0.05), (10.0, 0.1), (12.0, 0.05)])
+    def test_steps_in_use_divide_their_halfwidth(self, halfwidth, step):
+        solver.SolverConfig(p=3, grid_halfwidth=halfwidth, grid_step=step)
+
+    def test_fields(self):
+        fields = [f.name for f in dataclasses.fields(solver.SolverConfig)]
+        assert fields == ["p", "tol", "max_iter", "damping", "grid_halfwidth", "grid_step"]
