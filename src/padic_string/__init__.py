@@ -27,7 +27,6 @@ from .gaussop import (
     periodic_solution,
 )
 from .heatflow import (
-    Interpolant,
     branching_roots,
     heat_polynomial,
     kernel_estimate_bound,

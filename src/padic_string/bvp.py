@@ -159,21 +159,20 @@ class LocalZeroReport:
     violation: bool  # the slope coefficient a1 must be positive
 
 
-def local_zero_analysis(
-    phi,
-    q: int,
-    fit_window: tuple[float, float] = (1e-3, 1e-1),
-    fit_points: int = 25,
-) -> LocalZeroReport:
+_FIT_S = np.geomspace(1e-3, 1e-1, 25)  # offsets s of the exponent fit
+
+
+def local_zero_analysis(phi, q: int) -> LocalZeroReport:
     """Measure phi ~ (a1 (t - t0))^{1/(2q+1)} at the zero t0 of an odd candidate.
 
     t0 is the one sign change detect_sign_changes finds on |t| <= 6 (none or
     several raise ValueError).  a1 comes from the weighted first moment
     (4/sqrt(pi)) int_0^inf phi(t0 + s) e^{-s^2} s ds, a panel quadrature of
     the even integrand over |s| <= 12 graded at its kink s = 0; the exponent
-    is a log-log fit of |phi(t0 + s)| on the window of s.  A GridFunction
-    input is evaluated through the smooth power interpolant for p = 2q+1,
-    which keeps the fit meaningful below the grid spacing.
+    is a log-log fit of |phi(t0 + s)| at 25 geometric steps of s from 1e-3
+    to 1e-1.  A GridFunction input is evaluated through the smooth power
+    interpolant for p = 2q+1, which keeps the fit meaningful below the grid
+    spacing.
     """
     if q < 0:
         raise ValueError("q must be a non-negative integer")
@@ -189,11 +188,10 @@ def local_zero_analysis(
     tau, w = panel_rule(-12.0, 12.0, breaks=(0.0,))
     fv = np.asarray(f(t0 + tau), dtype=float)
     a1 = 2.0 * float((w * tau * np.exp(-tau * tau)) @ fv) / SQRT_PI
-    ts = np.geomspace(fit_window[0], fit_window[1], fit_points)
-    vals = np.abs(np.asarray(f(t0 + ts), dtype=float))
+    vals = np.abs(np.asarray(f(t0 + _FIT_S), dtype=float))
     if np.any(vals == 0):
         raise ValueError("candidate vanishes on the fit window; cannot fit an exponent")
-    slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
+    slope = float(np.polyfit(np.log(_FIT_S), np.log(vals), 1)[0])
     return LocalZeroReport(
         a1=a1,
         fitted_exponent=slope,

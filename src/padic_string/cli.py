@@ -153,7 +153,6 @@ def cmd_solve(args) -> int:
         p=args.p,
         tol=args.tol,
         max_iter=args.max_iter,
-        damping=args.damping,
         grid_halfwidth=args.halfwidth,
         grid_step=args.step,
     )
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["erf", "one"], default="erf")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--damping", type=float, default=1.0)
     p.add_argument("--halfwidth", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--out-prefix", default="solution")

@@ -16,7 +16,7 @@ scan), and evaluates the a-priori kernel bound for even powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .gaussop import gauss_moment
 from .solver import _admissible_limits, _bisect, _sign_brackets, apply_K_panels, detect_sign_changes, panel_rule
 
 __all__ = [
-    "Interpolant",
     "BranchingPolynomial",
     "ZeroReport",
     "TrackedZeros",
@@ -47,32 +46,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Interpolant:
-    """Lazily evaluated caloric extension of boundary data phi.
+def poisson_eval(phi, x: float, t, rule: QuadratureRule | None = None):
+    """u(x, t) = pi^(-1/2) sum_i w_i phi(t - sqrt(x) v_i); u(0, .) is phi itself.
 
-    The boundary function must obey |phi(t)| <= C exp((1-eps) t^2); this is
-    a documented contract, not a runtime check.
+    The rule defaults to 96-point Gauss-Hermite.  phi must obey
+    |phi(t)| <= C exp((1-eps) t^2); this is a documented contract, not a
+    runtime check.
     """
-
-    boundary: object  # callable
-    rule: QuadratureRule = field(default_factory=lambda: gauss_hermite_rule(96))
-
-    def __call__(self, x, t):
-        return poisson_eval(self, x, t)
-
-
-def _boundary_and_rule(ip, rule):
-    if isinstance(ip, Interpolant):
-        return ip.boundary, ip.rule
     if rule is None:
         rule = gauss_hermite_rule(96)
-    return ip, rule
-
-
-def poisson_eval(ip, x: float, t, rule: QuadratureRule | None = None):
-    """u(x, t) = pi^(-1/2) sum_i w_i phi(t - sqrt(x) v_i); u(0, .) is phi itself."""
-    phi, rule = _boundary_and_rule(ip, rule)
     if x < 0:
         raise ValueError(f"heat time x must be non-negative, got {x}")
     t = np.asarray(t, dtype=float)
@@ -82,13 +64,14 @@ def poisson_eval(ip, x: float, t, rule: QuadratureRule | None = None):
     return gauss_moment(phi, t, rule, x)
 
 
-def poisson_dt(ip, x: float, t, rule: QuadratureRule | None = None):
+def poisson_dt(phi, x: float, t, rule: QuadratureRule | None = None):
     """u_t(x, t) by differentiating the kernel: -2 (pi x)^(-1/2) sum w_i v_i phi(t - sqrt(x) v_i).
 
     Uses only values of phi, so it stays meaningful when phi has a
     fractional-power zero whose derivative is unbounded.
     """
-    phi, rule = _boundary_and_rule(ip, rule)
+    if rule is None:
+        rule = gauss_hermite_rule(96)
     if x <= 0:
         raise ValueError(f"kernel derivative needs x > 0, got {x}")
     return -2.0 / math.sqrt(x) * gauss_moment(phi, t, rule, x, k=1)
@@ -137,24 +120,21 @@ class MeanConservationReport:
     window: tuple[float, float]
 
 
-def mean_conservation_residual(
-    phi,
-    p: int,
-    x: float,
-    window: tuple[float, float] = (-10.0, 10.0),
-    rule: QuadratureRule | None = None,
-) -> MeanConservationReport:
-    """Residuals of int [u(x,t) - phi(t)] dt = 0 and int [phi - phi^p] dt = 0.
+_MEAN_WINDOW = (-10.0, 10.0)  # t-window of the mean conservation laws
+
+
+def mean_conservation_residual(phi, p: int, x: float, rule: QuadratureRule | None = None) -> MeanConservationReport:
+    """Residuals of int [u(x,t) - phi(t)] dt = 0 and int [phi - phi^p] dt = 0 on |t| <= 10.
 
     Both laws presuppose that phi settles near its admissible limits at the
     window ends; when it does not (distance > 0.05), the report is marked
-    not applicable and the residuals are NaN.
+    not applicable and the residuals are NaN.  The report states the window.
     """
     if x < 0:
         raise ValueError(f"heat time x must be non-negative, got {x}")
     if rule is None:
         rule = gauss_hermite_rule(96)
-    a, b = window
+    a, b = _MEAN_WINDOW
     admissible = _admissible_limits(p)
     edge_left = float(np.mean(np.asarray(phi(np.linspace(a, a + 0.5, 8)), dtype=float)))
     edge_right = float(np.mean(np.asarray(phi(np.linspace(b - 0.5, b, 8)), dtype=float)))
@@ -162,13 +142,13 @@ def mean_conservation_residual(
         min(abs(edge - v) for v in admissible) <= 0.05 for edge in (edge_left, edge_right)
     )
     if not settled:
-        return MeanConservationReport(False, math.nan, math.nan, x, window)
+        return MeanConservationReport(False, math.nan, math.nan, x, _MEAN_WINDOW)
     ts = np.linspace(a, b, 2001)
     pv = np.asarray(phi(ts), dtype=float)
     uv = poisson_eval(phi, x, ts, rule)
     interp_residual = abs(float(np.trapezoid(uv - pv, ts)))
     mean_residual = abs(float(np.trapezoid(pv - pv**p, ts)))
-    return MeanConservationReport(True, interp_residual, mean_residual, x, window)
+    return MeanConservationReport(True, interp_residual, mean_residual, x, _MEAN_WINDOW)
 
 
 def heat_polynomial(n: int, eps: float, t):
@@ -261,9 +241,8 @@ class TrackedZeros:
 def track_zeros(u, n: int, eps: float) -> TrackedZeros:
     """Locate the roots of u(1-eps, .) with detect_sign_changes (scan, then bisection).
 
-    u is either a callable u(x, t) or an Interpolant.  The scan covers
-    |t| <= 3 sqrt(eps) max|lambda| with step about sqrt(eps)/50; predictions
-    are (lambda_k/2) sqrt(eps).  A root count different from 2n is reported
+    u is a callable u(x, t).  The scan covers |t| <= 3 sqrt(eps) max|lambda|
+    with step about sqrt(eps)/50; predictions are (lambda_k/2) sqrt(eps).  A root count different from 2n is reported
     via the mismatch flag (the branching count is only asymptotic in eps).
     """
     if not 0 < eps <= 0.5:
@@ -335,10 +314,13 @@ class ZeroReport:
     jumps: list
 
 
-def zero_report(g: GridFunction, jump_factor: float = 8.0) -> ZeroReport:
+_JUMP_FACTOR = 8.0  # a gap this many median neighbour changes wide is a jump
+
+
+def zero_report(g: GridFunction) -> ZeroReport:
     """Classify sign changes of grid data into genuine zeros and jumps.
 
-    A node gap whose value change exceeds jump_factor times the median
+    A node gap whose value change exceeds _JUMP_FACTOR = 8 times the median
     neighbour change is reported as a discontinuity of the first kind (at
     the gap's midpoint) with its saltus; remaining sign changes are refined
     by bisection on the interpolant and, with exact zeros at nodes,
@@ -361,7 +343,7 @@ def zero_report(g: GridFunction, jump_factor: float = 8.0) -> ZeroReport:
             return 1
 
     idx, exact = _sign_brackets(t, v)
-    is_jump = dv[idx] > jump_factor * med
+    is_jump = dv[idx] > _JUMP_FACTOR * med
     jumps = [(float(0.5 * (t[i] + t[i + 1])), float(v[i + 1] - v[i])) for i in idx[is_jump]]
     smooth = idx[~is_jump]
     located = _bisect(g, t[smooth], t[smooth + 1]) if smooth.size else smooth

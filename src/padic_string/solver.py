@@ -62,12 +62,13 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
+_PANEL = 0.5  # widest panel of panel_rule
 
 
-def panel_rule(lo: float, hi: float, breaks=(), panel: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+def panel_rule(lo: float, hi: float, breaks=()) -> tuple[np.ndarray, np.ndarray]:
     """Composite 16-point Gauss-Legendre rule on [lo, hi], graded at breaks.
 
-    Panels have width at most `panel`; around every interior break the
+    Panels have width at most _PANEL = 0.5; around every interior break the
     panels shrink geometrically down to 1e-8, so integrands with an
     algebraic kink (a fractional-power zero of a candidate solution) are
     integrated to near machine accuracy instead of the slow algebraic rate
@@ -75,12 +76,12 @@ def panel_rule(lo: float, hi: float, breaks=(), panel: float = 0.5) -> tuple[np.
     """
     if not hi > lo:
         raise ValueError("empty integration window")
-    edges = set(np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / panel)) + 1)))
+    edges = set(np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / _PANEL)) + 1)))
     for b in breaks:
         if not lo < b < hi:
             continue
         step = 1e-8
-        while step < panel:
+        while step < _PANEL:
             for edge in (b - step, b + step):
                 if lo < edge < hi:
                     edges.add(edge)
@@ -185,16 +186,17 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the truncated systems and the grid fixed-point iteration.
+    """The power p, the stopping rule and the grid of the solvers.
 
-    The grid has step grid_step on [-grid_halfwidth, grid_halfwidth]; a step
-    that does not divide the halfwidth is rejected, naming the nearest that does.
+    Newton and the fixed-point iteration stop once their residual max-norm
+    drops below tol, or after max_iter steps.  The fixed-point grid has step
+    grid_step on [-grid_halfwidth, grid_halfwidth]; a step that does not
+    divide the halfwidth is rejected, naming the nearest that does.
     """
 
     p: int
     tol: float = 1e-10
     max_iter: int = 500
-    damping: float = 1.0
     grid_halfwidth: float = 10.0
     grid_step: float = 0.05
 
@@ -203,8 +205,6 @@ class SolverConfig:
             raise ValueError(f"power p must be a positive integer, got {self.p}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
         if not 5 <= self.grid_halfwidth < math.inf:
             raise ValueError(f"grid halfwidth must be finite and >= 5, got {self.grid_halfwidth}")
         if not 0 < self.grid_step < math.inf:
@@ -459,13 +459,15 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel graded at the iterate's sign changes, built once per
     break set and rebuilt only when a break appears, vanishes or moves by
-    more than _BREAK_TOL.  Steps are damped as
-    phi <- (1-d) phi + d root(K phi); convergence is declared when the grid
-    residual max |K phi - phi^p| (the trace's 'residual', at d = 1 the change
-    of the smooth power) drops below cfg.tol; the change of phi, which stalls
-    at eps^(1/p) at a zero on a grid node, decides only 'diverged'.  A seed
-    with a non-finite value (at a GridFunction node, or at a grid or panel
-    node for a callable) raises EvaluationError naming the first such node.
+    more than _BREAK_TOL.  Each step is the plain map phi <- root(K phi).
+    The run converges when the grid residual max |K phi - phi^p| of the
+    current iterate (the trace's 'residual', the change of the smooth power
+    that the step would make) drops below cfg.tol; that iterate is returned
+    and the step is declined, though the trace still records its 'change'.
+    The change of phi, which stalls at eps^(1/p) at a zero on a grid node,
+    decides only 'diverged'.  A seed with a non-finite value (at a
+    GridFunction node, or at a grid or panel node for a callable) raises
+    EvaluationError naming the first such node.
     """
     if cfg.p < 2:
         raise ValueError("fixed-point iteration needs p >= 2")
@@ -512,14 +514,12 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
             root = sign_template(ts) * np.clip(A, 0.0, None) ** (1.0 / cfg.p)
         else:
             root = np.sign(A) * np.abs(A) ** (1.0 / cfg.p)
-        new_vals = (1.0 - cfg.damping) * vals + cfg.damping * root
-        change = float(np.max(np.abs(new_vals - vals)))
-        trace.append({"iteration": it, "change": change, "residual": eq_res})
-        vals = new_vals
-        evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
+        trace.append({"iteration": it, "change": float(np.max(np.abs(root - vals))), "residual": eq_res})
         if eq_res < cfg.tol:
             status = "converged"
             break
+        vals = root
+        evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
         recent = [entry["change"] for entry in trace[-20:]]
         if len(recent) == 20 and all(x < y for x, y in zip(recent, recent[1:])):
             status = "diverged"

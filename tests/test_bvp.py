@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -35,6 +36,15 @@ class TestBaseCoefficients:
         quad = basis.inner_product(erf_step, lambda t, m=n: basis.eval_H(m, t), 1.0, rule)
         closed = bvp.erf_base_coeff(n)
         assert abs(quad - closed) < 1e-10 * max(1.0, abs(closed))
+
+    @pytest.mark.parametrize("n", range(1, 16, 2))
+    def test_odd_against_mpmath(self, n):
+        # for odd n the integrand erf(t) H_n(t) e^{-t^2} is even, so the
+        # coefficient of 1/2 + erf/2 is pi^(-1/2) int_0^inf of it
+        with mpmath.workdps(20):
+            integral = mpmath.quad(lambda t: mpmath.erf(t) * mpmath.hermite(n, t) * mpmath.exp(-t * t), [0, mpmath.inf])
+            reference = float(integral / mpmath.sqrt(mpmath.pi))
+        assert abs(bvp.erf_base_coeff(n) - reference) <= 1e-14 * abs(reference)
 
 
 class TestAnsatzCoefficients:

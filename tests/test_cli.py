@@ -112,6 +112,15 @@ class TestSolveCommand:
             header = fh.readline().strip()
         assert header == "t,phi,Kphi,phi_p,residual"
 
+    def test_constant_seed_is_the_exact_even_solution(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, out, _ = run(["solve", "--p", "2", "--init", "one", "--out-prefix", "one"], capsys)
+        assert code == 0
+        assert "status=converged" in out
+        report = json.loads((tmp_path / "one_verify.json").read_text())
+        assert report["max_residual"] < 1e-12
+        assert report["limits"]["admissible"] is True
+
 
 class TestBranchCommand:
     def test_second_order_roots(self, capsys, tmp_path):
@@ -244,10 +253,11 @@ class TestOptionUsageErrors:
             (["branch", "--n", "2", "--eps", "0"], "--eps must be in (0, 0.5], got 0.0"),
             (["branch", "--n", "2", "--eps", "0.7"], "--eps must be in (0, 0.5], got 0.7"),
             (["solve", "--p", "3", "--quadrature", "96"], "unrecognized arguments: --quadrature 96"),
+            (["solve", "--p", "3", "--damping", "0.5"], "unrecognized arguments: --damping 0.5"),
         ],
         ids=["hermite-zero-step", "solve-zero-step", "negative-step", "nan-step",
              "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one",
-             "zero-eps", "eps-above-half", "solve-quadrature-removed"],
+             "zero-eps", "eps-above-half", "solve-quadrature-removed", "solve-damping-removed"],
     )
     def test_exits_two_naming_the_option(self, argv, message, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

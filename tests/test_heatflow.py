@@ -39,13 +39,9 @@ class TestPoisson:
         with pytest.raises(ValueError):
             heatflow.poisson_eval(const_one, -0.1, 0.0)
 
-    def test_interpolant_wrapper(self, rule96):
-        ip = heatflow.Interpolant(lambda t: np.cos(t), rule96)
-        assert ip(1.0, 0.4) == pytest.approx(math.exp(-0.25) * math.cos(0.4), abs=1e-12)
-
     def test_caloric_property_random_points(self, rule96):
         f = lambda t: np.cos(1.3 * np.asarray(t, dtype=float))
-        u = heatflow.Interpolant(f, rule96)
+        u = lambda x, t: heatflow.poisson_eval(f, x, t, rule96)
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(0.2, 1.0)

@@ -218,6 +218,19 @@ class TestFixedPoint:
         assert result.converged
         assert np.max(np.abs(result.grid.values - 1.0)) < 1e-12
 
+    def test_converged_even_run_returns_the_measured_iterate(self):
+        # phi = 1 solves K phi = phi^2 exactly; the step it would take maps
+        # it to sgn(t) through the default template, so that step is declined
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=2), const_one)
+        assert result.converged
+        assert np.all(result.grid.values == 1.0)
+        assert solver.residual(result.phi, 2, ts=result.grid.nodes) < 1e-12
+
+    def test_returned_iterate_has_the_traced_residual(self):
+        r = centred_kink(3)
+        own = solver.residual(r.phi, 3, ts=r.grid.nodes, breaks=[0.0])
+        assert own == pytest.approx(r.trace[-1]["residual"], abs=1e-14)
+
     def test_odd_p3_solution(self, solved_p3):
         assert solved_p3.converged
         assert solved_p3.trace[-1]["change"] < 1e-8
@@ -268,7 +281,7 @@ class TestFixedPoint:
     def test_nonfinite_callable_seed_reports_node(self):
         seed = lambda t: np.where(np.asarray(t) == 0, np.nan, np.tanh(t))
         with pytest.raises(gaussop.EvaluationError) as err:
-            solver.fixed_point_iterate(solver.SolverConfig(p=3, damping=0.5), seed)
+            solver.fixed_point_iterate(solver.SolverConfig(p=3), seed)
         assert err.value.node == 0.0
 
 
@@ -517,8 +530,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             solver.SolverConfig(p=2, tol=0.0)
         with pytest.raises(ValueError):
-            solver.SolverConfig(p=2, damping=1.5)
-        with pytest.raises(ValueError):
             solver.SolverConfig(p=2, grid_halfwidth=3.0)
         with pytest.raises(ValueError, match="grid halfwidth must be finite"):
             solver.SolverConfig(p=2, grid_halfwidth=math.inf)
@@ -538,4 +549,4 @@ class TestConfigValidation:
 
     def test_fields(self):
         fields = [f.name for f in dataclasses.fields(solver.SolverConfig)]
-        assert fields == ["p", "tol", "max_iter", "damping", "grid_halfwidth", "grid_step"]
+        assert fields == ["p", "tol", "max_iter", "grid_halfwidth", "grid_step"]
