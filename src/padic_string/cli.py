@@ -175,6 +175,7 @@ def cmd_solve(args) -> int:
         "status": result.status,
         "iterations": result.iterations,
         "max_residual": float(np.max(res)),
+        "midpoint_residual": solver.residual(result.phi, args.p, ts=0.5 * (ts[1:] + ts[:-1]), breaks=breaks),
         "conservation_laws": [float(v) for v in laws],
         "limits": {
             "left_mean": limits.left_mean,

@@ -15,6 +15,7 @@ scan), and evaluates the a-priori kernel bound for even powers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -199,8 +200,12 @@ def branching_polynomial(n: int) -> BranchingPolynomial:
     return BranchingPolynomial(n=n, Lambda_coeffs=coeffs)
 
 
+@functools.lru_cache(maxsize=None)
 def branching_roots(n: int) -> np.ndarray:
-    """The 2n simple real locations +-sqrt(Lambda_k), sorted increasing.
+    """The 2n simple real locations +-sqrt(Lambda_k), sorted increasing, as a read-only array.
+
+    Each n is computed once per process (n is limited to 1..20), so
+    track_zeros and the CLI share the roots.
 
     Lambda roots come from companion-matrix eigenvalues (imaginary parts
     below 1e-8 relative are discarded) and are polished by bisection between
@@ -224,7 +229,9 @@ def branching_roots(n: int) -> np.ndarray:
     if np.any(np.diff(lam) <= 0):
         raise AssertionError(f"branching roots not distinct for n={n}: {lam}")
     roots = np.sqrt(lam)
-    return np.sort(np.concatenate([-roots, roots]))
+    roots = np.sort(np.concatenate([-roots, roots]))
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass(frozen=True)

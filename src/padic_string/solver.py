@@ -21,9 +21,11 @@ sign changes (plain interpolation of phi would lose ~h^(1/3) there).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
 from .basis import (
@@ -127,61 +129,201 @@ def detect_sign_changes(f, lo: float = -6.0, hi: float = 6.0, samples: int = 961
 
 _KERNEL_BLOCK = 40  # kernel rows per band block, in sorted-t order
 _BREAK_TOL = 1e-10  # far below the 1e-8 innermost panel: a kernel graded at either break fits both
+_BAND = 6.5  # the narrow band: e^{-6.5^2} < 5e-19 and erfc(6.5) < 4e-20
+_CHEB = 20  # Chebyshev nodes standing for the points within 1/2 of a break
+_CHEB_NODES = np.cos((2 * np.arange(_CHEB, 0, -1) - 1) * np.pi / (2 * _CHEB))  # first kind, ascending
+# l_m(x) = sum_k c_k T_k(x_m) T_k(x) with c_0 = 1/n and c_k = 2/n: the discrete
+# orthogonality of T_0 .. T_{n-1} on the n Chebyshev nodes x_m of the first kind
+_CHEB_COEFFS = chebvander(_CHEB_NODES, _CHEB - 1) * np.where(np.arange(_CHEB) == 0, 1.0, 2.0) / _CHEB
 
 
-def _panel_kernel(ts, breaks=(), halfwidth: float = 12.0):
-    """The map f -> K f on ts, with its panel rule and banded kernel built once.
+def _breaks_agree(a, b) -> bool:
+    return len(a) == len(b) and all(abs(x - y) <= _BREAK_TOL for x, y in zip(a, b))
 
-    Row t keeps only the panel nodes with |t - tau| <= halfwidth, the
-    row-wise truncation of the fast Gauss transform (Greengard & Strain,
-    SIAM J. Sci. Stat. Comput. 12, 1991), in blocks of _KERNEL_BLOCK rows
-    of sorted t, each over the contiguous slice of nodes its rows reach.
+
+def _chebyshev_pieces(x, breaks) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut sorted points x into runs, with _CHEB Chebyshev nodes in place of each run near a break.
+
+    A break's run is the points within 1/2 of it; the runs of two breaks
+    closer than 1 meet at their midpoint.  A run is kept as it is when the
+    nodes would not halve it, or when it repeats one value.  Returns the
+    pieces (src, dst, L): x[src] stands at the slice dst of the new points,
+    one for one when L is None, and through L[m, k] = l_m(x_k), the Lagrange
+    basis of the Chebyshev nodes on the span of x[src], when not.  Also
+    returns the new points, sorted, and the span [first, last] of x that
+    each one stands for.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lo = float(ts.min()) - halfwidth
-    hi = float(ts.max()) + halfwidth
-    tau, w = panel_rule(lo, hi, breaks)
-    order = np.argsort(ts, kind="stable")
-    blocks = []
-    for start in range(0, ts.size, _KERNEL_BLOCK):
-        rows = order[start : start + _KERNEL_BLOCK]
-        t = ts[rows]
-        cols = slice(np.searchsorted(tau, t[0] - halfwidth), np.searchsorted(tau, t[-1] + halfwidth, "right"))
-        band = t[:, None] - tau[cols]  # exp(-(t - tau)^2) in the band, 0 outside
-        np.square(band, out=band)
-        band[band > halfwidth * halfwidth] = np.inf
-        np.negative(band, out=band)
-        np.exp(band, out=band)
-        blocks.append((rows, cols, band))
+    bs = np.unique(np.asarray(breaks, dtype=float))
+    mids = 0.5 * (bs[1:] + bs[:-1])
+    starts = np.searchsorted(x, np.maximum(bs - 0.5, np.concatenate([[-np.inf], mids])))
+    stops = np.searchsorted(x, np.minimum(bs + 0.5, np.concatenate([mids, [np.inf]])))
+    pieces, points, first, last = [], [], [], []
+    pos = out = 0
+    for start, stop in zip(starts, stops):
+        if stop - start <= 2 * _CHEB or not x[stop - 1] > x[start]:
+            continue
+        a, b = x[start], x[stop - 1]
+        s = np.clip((x[start:stop] - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
+        lagrange = _CHEB_COEFFS @ chebvander(s, _CHEB - 1).T
+        kept = start - pos
+        pieces += [(slice(pos, start), slice(out, out + kept), None),
+                   (slice(start, stop), slice(out + kept, out + kept + _CHEB), lagrange)]
+        points += [x[pos:start], 0.5 * (a + b) + 0.5 * (b - a) * _CHEB_NODES]
+        first += [x[pos:start], np.full(_CHEB, a)]
+        last += [x[pos:start], np.full(_CHEB, b)]
+        pos, out = stop, out + kept + _CHEB
+    pieces.append((slice(pos, x.size), slice(out, out + x.size - pos), None))
+    return (pieces, *(np.concatenate(v + [x[pos:]]) for v in (points, first, last)))
 
-    def apply(f) -> np.ndarray:
-        fv = np.asarray(f(tau), dtype=float)
-        finite = np.isfinite(fv).reshape(fv.shape[:1] + (-1,)).all(axis=-1)
-        if not finite.all():
-            node = float(tau[np.argmin(finite)])
-            raise EvaluationError(f"non-finite integrand value at tau={node}", node)
-        weighted = (w * fv.T).T
-        out = np.empty(ts.shape + fv.shape[1:])
-        for rows, cols, band in blocks:
-            out[rows] = band @ weighted[cols]
+
+class _PanelKernel:
+    """The map f -> K f at the rows ts, on the panel rule of [min ts - halfwidth, max ts + halfwidth].
+
+    halfwidth is the integration window: a row's band reaches halfwidth
+    from it (from the Chebyshev rows that stand in for it, near a break)
+    unless the integrand's bound shows the tail past _BAND below rounding.
+    Two steps of the fast Gauss transform (Greengard & Strain, SIAM J. Sci.
+    Stat. Comput. 12, 1991) make one kernel cheap enough to serve a whole
+    solve:
+
+    * Compression.  On a span of width 1, e^{-(t-tau)^2} is a polynomial of
+      degree _CHEB - 1 in either variable to rounding.  So the graded panel
+      nodes within 1/2 of a break become _CHEB Chebyshev nodes c_m, with
+      weights g_m = sum_k l_m(tau_k) w_k f(tau_k), and the rows within 1/2
+      of a break, where there are enough of them, are K f at _CHEB
+      Chebyshev rows, interpolated (_chebyshev_pieces).
+    * Banding by the integrand's own bound.  Rows are stored in blocks of
+      _KERNEL_BLOCK sorted t over the contiguous slice of nodes they reach,
+      first for |t - tau| <= _BAND (a row that reaches any of a compressed
+      span takes it whole).  An apply keeps that band when the tail it
+      drops, at most e^{-_BAND^2} sum_j w_j |f_j|, is below one rounding
+      unit of every row's sum_j e^{-(t - tau_j)^2} w_j |f_j|, which the same
+      product gives from |f| columns.  Otherwise, for an f that grows too
+      fast for that, the band of the whole halfwidth is built once and used.
+    """
+
+    def __init__(self, ts, breaks=(), halfwidth: float = 12.0):
+        self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self.breaks = list(breaks)
+        self.halfwidth = halfwidth
+        self.tau, self.w = panel_rule(float(self.ts.min()) - halfwidth, float(self.ts.max()) + halfwidth, self.breaks)
+        self.order = np.argsort(self.ts, kind="stable")
+        self.row_pieces, self.rows, _, _ = _chebyshev_pieces(self.ts[self.order], self.breaks)
+        self.node_pieces, self.nodes, self.first, self.last = _chebyshev_pieces(self.tau, self.breaks)
+        self.narrow = self._band(min(_BAND, halfwidth))
+        self.full = self.narrow if halfwidth <= _BAND else None
+
+    def _band(self, cut: float) -> list:
+        """Blocks of rows with every node within cut of some row of the block.
+
+        Only the band of the whole halfwidth is cut row by row: the narrow
+        band may keep a node a little past _BAND, which only makes the sum
+        more exact.
+        """
+        # row t reaches the nodes [reach_lo, reach_hi): those whose span is within cut of t
+        reach_lo = np.searchsorted(self.last, self.rows - cut)
+        reach_hi = np.searchsorted(self.first, self.rows + cut, "right")
+        starts = np.arange(0, self.rows.size, _KERNEL_BLOCK)
+        stops = np.minimum(starts + _KERNEL_BLOCK, self.rows.size)
+        los, his = reach_lo[starts], reach_hi[stops - 1]
+        # one buffer for all blocks, so that a freed kernel's memory serves the next build
+        store = np.empty(int(np.sum((stops - starts) * (his - los))))
+        # t - c as the product [t, -1] @ [1, c]: one rounding per entry, so the
+        # same bits as the broadcast difference, which numpy writes slower
+        rows = np.stack([self.rows, np.full(self.rows.size, -1.0)], axis=1)
+        nodes = np.stack([np.ones(self.nodes.size), self.nodes])
+        blocks, used = [], 0
+        for start, stop, lo, hi in zip(starts, stops, los, his):
+            band = store[used : used + (stop - start) * (hi - lo)].reshape(stop - start, hi - lo)
+            used += band.size
+            np.matmul(rows[start:stop], nodes[:, lo:hi], out=band)
+            np.square(band, out=band)
+            if cut == self.halfwidth:  # exp(-(t - c)^2) where t reaches c, 0 elsewhere
+                a, b = reach_lo[start:stop, None], reach_hi[start:stop, None]
+                left, right = min(a[-1, 0], hi), max(b[0, 0], lo)
+                np.copyto(band[:, : left - lo], np.inf, where=np.arange(lo, left) < a)
+                np.copyto(band[:, right - lo :], np.inf, where=np.arange(right, hi) >= b)
+            np.negative(band, out=band)
+            np.exp(band, out=band)
+            blocks.append((slice(start, stop), slice(lo, hi), band))
+        return blocks
+
+    def fits(self, ts, breaks, halfwidth: float) -> bool:
+        return halfwidth == self.halfwidth and np.array_equal(self.ts, ts) and _breaks_agree(breaks, self.breaks)
+
+    def _product(self, blocks, weighted) -> np.ndarray:
+        """Band sums at self.rows of the rows of weighted, values times weights at self.tau."""
+        reduced = np.empty((weighted.shape[0], self.nodes.size))
+        for src, dst, lagrange in self.node_pieces:
+            reduced[:, dst] = weighted[:, src] if lagrange is None else weighted[:, src] @ lagrange.T
+        near = np.empty((weighted.shape[0], self.rows.size))
+        for part, cols, band in blocks:
+            near[:, part] = reduced[:, cols] @ band.T
+        return near
+
+    def _at_ts(self, near) -> np.ndarray:
+        out = np.empty((near.shape[0], self.ts.size))
+        for src, dst, lagrange in self.row_pieces:
+            out[:, self.order[src]] = near[:, dst] if lagrange is None else near[:, dst] @ lagrange
         return out / SQRT_PI
 
-    return apply
+    def __call__(self, f, with_size: bool = False):
+        """K f at ts; with_size adds K|f| on the narrow band, the scale of K f's rounding."""
+        fv = np.asarray(f(self.tau), dtype=float)
+        fv = np.broadcast_to(fv, self.tau.shape + fv.shape[1:])  # a constant f may return a scalar
+        if not np.isfinite(fv).all():
+            node = float(self.tau[np.argmin(np.isfinite(fv).reshape(fv.shape[:1] + (-1,)).all(axis=-1))])
+            raise EvaluationError(f"non-finite integrand value at tau={node}", node)
+        weighted = np.multiply(self.w, fv.reshape(self.tau.size, -1).T, order="C")
+        r = weighted.shape[0]
+        size = np.abs(weighted)
+        near = self._product(self.narrow, np.concatenate([weighted, size]))
+        near, near_size = near[:r], near[r:]
+        if self.full is not self.narrow and not np.all(
+            math.exp(-_BAND * _BAND) * size.sum(axis=1) <= 2.0**-53 * near_size.min(axis=1)
+        ):
+            if self.full is None:
+                self.full = self._band(self.halfwidth)
+            near = self._product(self.full, weighted)
+        shape = self.ts.shape + fv.shape[1:]
+        out = self._at_ts(near).T.reshape(shape)
+        return (out, self._at_ts(near_size).T.reshape(shape)) if with_size else out
+
+
+# The kernel of the last fixed_point_iterate run, keyed weakly by the
+# evaluator that run made and returned, so the checks of that result on its
+# own grid reuse it; the entry goes with the result, or when the next run
+# replaces it.  A lost entry only costs a rebuild.
+_SOLVE_KERNEL = weakref.WeakKeyDictionary()
 
 
 def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     """K f on the sample points via the kink-aware composite panel rule.
 
-    Each row integrates pi^(-1/2) int f(tau) e^{-(t-tau)^2} dtau over
-    [t - halfwidth, t + halfwidth]; for bounded f the dropped tail is below
-    e^{-halfwidth^2} sup|f|, while f growing like exp(c t^2) needs a
-    halfwidth wide enough for the kernel to beat the growth.  An f
-    returning an (n, r) block of r functions gives an (len(ts), r) result
-    from one kernel.  A non-finite value of f raises EvaluationError naming
-    the first panel node where it occurs.  Each call builds its kernel
-    afresh; fixed_point_iterate builds one per break set and reuses it.
+    halfwidth is the integration window: each row integrates
+    pi^(-1/2) int f(tau) e^{-(t-tau)^2} dtau over [t - halfwidth,
+    t + halfwidth].  Per call the kernel narrows its band to
+    |t - tau| <= 6.5 when e^{-6.5^2} sum_j w_j |f_j| is below one rounding
+    unit of every row's sum_j e^{-(t-tau_j)^2} w_j |f_j|, so that the tail
+    it drops cannot show, and sums over the whole window otherwise: an f
+    growing like exp(c t^2) gets the full halfwidth, which must then be
+    wide enough for the kernel to beat the growth.  The graded panels at
+    the breaks are compressed onto Chebyshev nodes, the interpolation step
+    of the fast Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
+    Comput. 12, 1991; see _PanelKernel).  An f returning an (n, r) block of
+    r functions gives an (len(ts), r) result from one kernel.  A non-finite
+    value of f raises EvaluationError naming the first panel node where it
+    occurs.  A call on the evaluator a fixed_point_iterate run returned, at
+    its grid, its breaks and the default halfwidth, reuses that run's
+    kernel; any other call builds one.
     """
-    return _panel_kernel(ts, breaks, halfwidth)(f)
+    try:
+        kernel = _SOLVE_KERNEL.get(f)
+    except TypeError:  # f cannot be weakly referenced
+        kernel = None
+    if kernel is None or not kernel.fits(ts, breaks, halfwidth):
+        kernel = _PanelKernel(ts, breaks, halfwidth)
+    return kernel(f)
 
 
 @dataclass(frozen=True)
@@ -373,12 +515,6 @@ def newton_solve(system: TruncatedSystem, init, cfg: SolverConfig) -> NewtonResu
     return NewtonResult(HermiteSeries("H", a), "diverged", cfg.max_iter, rn, cond, trace)
 
 
-def _with_abs(v) -> np.ndarray:
-    """Columns [v, |v|], so one panel apply gives both K phi and K|phi|."""
-    v = np.asarray(v, dtype=float)
-    return np.stack([v, np.abs(v)], axis=-1)
-
-
 def _reject_nonfinite_seed(nodes, values) -> None:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -459,7 +595,10 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel graded at the iterate's sign changes, built once per
     break set and rebuilt only when a break appears, vanishes or moves by
-    more than _BREAK_TOL.  Each step is the plain map phi <- root(K phi).
+    more than _BREAK_TOL; the last one stays with the returned evaluator,
+    when the run made it, for apply_K_panels and residual on the grid at
+    those breaks, and goes with it.  Each step is the plain map
+    phi <- root(K phi).
     The run converges when the grid residual max |K phi - phi^p| of the
     current iterate (the trace's 'residual', the change of the smooth power
     that the step would make) drops below cfg.tol; that iterate is returned
@@ -492,15 +631,13 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     trace = []
     status = "max_iter"
     iterations = 0
-    apply_K, kernel_breaks = None, None
+    apply_K = None
     for it in range(cfg.max_iter):
         iterations = it + 1
         breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
-        if apply_K is None or len(breaks) != len(kernel_breaks) or any(
-            abs(b - k) > _BREAK_TOL for b, k in zip(breaks, kernel_breaks)
-        ):
-            apply_K, kernel_breaks = _panel_kernel(ts, breaks), breaks
-        A, scale = apply_K(lambda t: _with_abs(evaluate(t))).T
+        if apply_K is None or not _breaks_agree(breaks, apply_K.breaks):
+            apply_K = _PanelKernel(ts, breaks)
+        A, scale = apply_K(evaluate, with_size=True)
         # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
@@ -524,6 +661,10 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         if len(recent) == 20 and all(x < y for x, y in zip(recent, recent[1:])):
             status = "diverged"
             break
+    _SOLVE_KERNEL.clear()
+    # only an evaluator this run made, which no other operation holds, keys the kernel
+    if apply_K is not None and evaluate is not phi0:
+        _SOLVE_KERNEL[evaluate] = apply_K
     return IterationResult(
         grid=GridFunction(nodes=ts, values=vals),
         phi=evaluate,
@@ -537,11 +678,15 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
 def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> float:
     """max_t |K phi(t) - phi(t)^p| over the evaluation grid.
 
-    K phi is integrated by the kink-aware panel rule; break points default
-    to the sign changes of phi, which is where candidate solutions lose
-    smoothness.  For candidates growing like exp(c t^2) the integration
-    window (`halfwidth` beyond the samples) must be widened until the
-    kernel beats the growth.
+    K phi is one apply_K_panels call: the kink-aware panel rule, with break
+    points defaulting to the sign changes of phi, which is where candidate
+    solutions lose smoothness.  halfwidth is the integration window beyond
+    the samples.  The kernel narrows its band per call when the stated
+    tail bound allows it (the compressed, banded _PanelKernel of the fast
+    Gauss transform), so only candidates growing like exp(c t^2) use the
+    whole window, which must then be widened until the kernel beats the
+    growth.  On the evaluator and grid of a fixed_point_iterate result, at
+    the run's breaks, the run's kernel is reused.
     """
     f = _as_callable(phi)
     if ts is None:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,35 @@ class TestQuadrature:
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.nodes == pytest.approx(-rule.nodes[::-1])
         assert rule.weights.sum() == pytest.approx(SQRT_PI, abs=1e-12)
+
+    @pytest.mark.parametrize("M", [64, 200, 512])
+    def test_against_mpmath_newton_polish(self, M):
+        # every 16th node polished by Newton on H_{k+1} = 2x H_k - 2k H_{k-1}
+        # at 40 digits; w = 2^{M-1} M! sqrt(pi) / (M H_{M-1}(x))^2
+        rule = basis.gauss_hermite_rule(M)
+        with mpmath.workdps(40):
+
+            def hermite_pair(x):  # (H_{M-1}(x), H_M(x))
+                prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+                for k in range(M):
+                    prev, cur = cur, 2 * x * cur - 2 * k * prev
+                return prev, cur
+
+            for i in range(0, M, 16):
+                x = mpmath.mpf(float(rule.nodes[i]))
+                for _ in range(8):
+                    below, value = hermite_pair(x)
+                    step = value / (2 * M * below)
+                    x -= step
+                    if abs(step) < mpmath.mpf(10) ** -38 * max(1, abs(x)):
+                        break
+                below, _ = hermite_pair(x)
+                weight = mpmath.mpf(2) ** (M - 1) * mpmath.factorial(M) * mpmath.sqrt(mpmath.pi) / (M * below) ** 2
+                assert abs(rule.nodes[i] - x) <= 1e-12 * abs(x)
+                if weight > 1e-300:
+                    assert abs(rule.weights[i] - weight) <= 1e-12 * weight
+                else:  # past the double range: the rule's weight underflows too
+                    assert rule.weights[i] <= 1e-300
 
     @pytest.mark.parametrize("M", [0, -3, 513])
     def test_order_out_of_range(self, M):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from padic_string import basis, cli, gaussop, solver
+from padic_string import basis, cli, gaussop, heatflow, solver
 
 
 def run(argv, capsys):
@@ -112,6 +112,19 @@ class TestSolveCommand:
             header = fh.readline().strip()
         assert header == "t,phi,Kphi,phi_p,residual"
 
+    def test_midpoint_residual_falls_as_h4(self, capsys, tmp_path, monkeypatch):
+        # the grid residual measures the iteration only; off the grid the
+        # cubic spline of phi^p leaves an O(h^4) error that halving h cuts ~16x
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        reports = {}
+        for step in ("0.05", "0.025"):
+            code, _, _ = run(["solve", "--p", "3", "--step", step, "--out-prefix", f"h{step}"], capsys)
+            assert code == 0
+            reports[step] = json.loads((tmp_path / f"h{step}_verify.json").read_text())
+        coarse, fine = reports["0.05"]["midpoint_residual"], reports["0.025"]["midpoint_residual"]
+        assert coarse > 100 * reports["0.05"]["max_residual"]
+        assert coarse / fine > 8
+
     def test_constant_seed_is_the_exact_even_solution(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         code, out, _ = run(["solve", "--p", "2", "--init", "one", "--out-prefix", "one"], capsys)
@@ -132,6 +145,21 @@ class TestBranchCommand:
         expected = sorted([0.5 * v * 1e-2 for v in lam] + [-0.5 * v * 1e-2 for v in lam])
         assert report["roots"] == pytest.approx(expected, abs=1e-10)
         assert report["mismatch"] is False
+
+    def test_branching_roots_computed_once(self, capsys, tmp_path, monkeypatch):
+        # the report and its four track_zeros calls share one computation
+        heatflow.branching_roots.cache_clear()
+        calls = []
+        original = np.roots
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return original(coeffs)
+
+        monkeypatch.setattr(np, "roots", counted)
+        code, _, _ = run(["branch", "--n", "3", "--out", str(tmp_path / "branch.json")], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_first_order_closed_form(self, capsys, tmp_path):
         path = tmp_path / "branch1.json"

@@ -248,6 +248,12 @@ class TestBranchingRoots:
         rel = np.max(np.abs(heatflow.branching_roots(n) - reference) / np.abs(reference))
         assert rel <= (1e-12 if n <= 12 else 1e-8)
 
+    def test_roots_are_shared_and_read_only(self):
+        roots = heatflow.branching_roots(4)
+        assert heatflow.branching_roots(4) is roots
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
+
     def test_polynomial_in_lambda_squared(self):
         # n=2 polynomial should be proportional to Lambda^2 - 12 Lambda + 12
         poly = heatflow.branching_polynomial(2)

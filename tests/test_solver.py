@@ -374,6 +374,38 @@ class TestKernelReuse:
         solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=5), seed)
         assert len(calls) == 2
 
+    def test_solve_and_grid_check_share_one_kernel(self, monkeypatch):
+        calls = self.count_panel_rules(monkeypatch)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
+        ts = result.grid.nodes
+        own = solver.residual(result.phi, 3, ts=ts, breaks=[0.0])
+        assert len(calls) == 1
+        assert own == pytest.approx(result.trace[-1]["residual"], abs=1e-14)
+        # the kernel belongs to that result: another evaluator, the same
+        # function or not, and a later run build their own
+        solver.residual(lambda t: result.phi(t), 3, ts=ts, breaks=[0.0])
+        assert len(calls) == 2
+        solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
+        assert len(calls) == 3
+
+    def test_no_kernel_kept_under_a_seed_the_run_returns(self, monkeypatch):
+        # the seed outlives the run, so its kernel must not stay with it
+        calls = self.count_panel_rules(monkeypatch)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3), const_one)
+        assert result.phi is const_one
+        solver.residual(const_one, 3, ts=result.grid.nodes, breaks=[])
+        assert len(calls) == 2
+
+    def test_shared_kernel_needs_the_same_rows_breaks_and_window(self, monkeypatch):
+        calls = self.count_panel_rules(monkeypatch)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
+        ts = result.grid.nodes
+        solver.apply_K_panels(result.phi, ts, [5e-11])  # within _BREAK_TOL: shared
+        assert len(calls) == 1
+        for args in ((ts, [0.1]), (ts, [0.0], 18.0), (ts[1:], [0.0]), (ts, [])):
+            solver.apply_K_panels(result.phi, *args)
+        assert len(calls) == 5
+
     def test_apply_K_panels_signature_is_stable(self):
         # the per-layer benchmark tracer binds these arguments by name
         params = inspect.signature(solver.apply_K_panels).parameters
@@ -383,9 +415,15 @@ class TestKernelReuse:
 
 
 def dense_K(f, ts, breaks, halfwidth=12.0):
-    """K f with the full kernel exp(-(t - tau)^2) over the whole panel window."""
+    """K f with the full kernel exp(-(t - tau)^2) over the whole panel window; f may be a block."""
     tau, w = solver.panel_rule(ts.min() - halfwidth, ts.max() + halfwidth, breaks)
-    return np.exp(-((ts[:, None] - tau) ** 2)) @ (w * f(tau)) / math.sqrt(math.pi)
+    fv = f(tau)
+    return np.exp(-((ts[:, None] - tau) ** 2)) @ (w * fv.T).T / math.sqrt(math.pi)
+
+
+def kinked_block(xi):
+    """Two bounded columns: a plane wave and a cube-root kink at every zero of sin(xi t)."""
+    return lambda t: np.stack([np.cos(xi * t), np.cbrt(np.sin(xi * t))], axis=-1)
 
 
 class TestBandedKernel:
@@ -401,6 +439,40 @@ class TestBandedKernel:
         assert got.shape == ts.shape
         np.testing.assert_allclose(got, math.exp(-xi * xi / 4.0) * np.cos(xi * ts), rtol=0, atol=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ts=st.one_of(
+            hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(-10.0, 10.0)),
+            st.builds(np.linspace, st.floats(-10.0, -0.5), st.floats(0.5, 10.0), st.integers(2, 400)),
+        ),
+        breaks=st.lists(st.floats(-18.0, 18.0), max_size=4),
+        xi=st.floats(0.25, 3.0),
+        halfwidth=st.sampled_from([6.5, 9.0, 12.0]),
+    )
+    @example(ts=np.linspace(-3.0, 3.0, 241), breaks=[0.2, 0.9], xi=1.0, halfwidth=12.0)  # closer than 1
+    @example(ts=np.linspace(-3.0, 3.0, 241), breaks=[0.2, 0.2 + 1e-9, 0.7], xi=2.0, halfwidth=12.0)
+    @example(ts=np.linspace(-2.0, 2.0, 161), breaks=[8.3], xi=1.5, halfwidth=6.5)  # 0.2 from the window end
+    @example(ts=np.linspace(-2.0, 2.0, 161), breaks=[-13.9, 13.7], xi=0.5, halfwidth=12.0)
+    @example(ts=np.linspace(-10.0, 10.0, 801), breaks=[], xi=1.0, halfwidth=12.0)  # no breaks
+    @example(ts=solver.panel_rule(-2.0, 2.0, [0.3])[0], breaks=[0.3], xi=1.0, halfwidth=12.0)  # graded rows
+    def test_matches_dense_kernel_for_any_break_set(self, ts, breaks, xi, halfwidth):
+        # compressed break panels and rows, a narrowed band: still the dense sum to rounding
+        f = kinked_block(xi)
+        got = solver.apply_K_panels(f, ts, breaks, halfwidth)
+        assert got.shape == ts.shape + (2,)
+        np.testing.assert_allclose(got, dense_K(f, ts, breaks, halfwidth), rtol=0, atol=1e-13)
+
+    def test_growing_integrand_gets_the_full_halfwidth(self):
+        phi, _ = solver.exact_gaussian_solution(3)
+        ts = np.arange(-2.0, 2.01, 0.05)
+        kernel = solver._PanelKernel(ts, [], 18.0)
+        kernel(np.cos)  # bounded: the narrow band's tail is below rounding
+        assert kernel.full is None
+        got = kernel(phi)  # phi(20) / phi(2) = e^264: only the whole window will do
+        assert kernel.full is not None and kernel.full is not kernel.narrow
+        np.testing.assert_allclose(got, dense_K(phi, ts, [], halfwidth=18.0), rtol=1e-12)
+        np.testing.assert_allclose(got, phi(ts) ** 3, rtol=1e-10)
+
     def test_matches_dense_kernel_on_the_kink(self, solved_p3):
         ts = solved_p3.grid.nodes
         breaks = solver.detect_sign_changes(solved_p3.phi)
@@ -412,6 +484,10 @@ class TestBandedKernel:
         ts = np.arange(-2.0, 2.01, 0.05)
         banded = solver.apply_K_panels(phi, ts, [], halfwidth=18.0)
         np.testing.assert_allclose(banded, dense_K(phi, ts, [], halfwidth=18.0), rtol=1e-12)
+
+    def test_constant_integrand_may_return_a_scalar(self):
+        got = solver.apply_K_panels(lambda t: 2.0, np.linspace(-3.0, 3.0, 7), [0.0])
+        np.testing.assert_allclose(got, 2.0, rtol=1e-14)
 
     def test_apply_rejects_nonfinite_integrand(self):
         f = lambda t: np.where(np.asarray(t) > 3.0, np.nan, np.tanh(t))
