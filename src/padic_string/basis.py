@@ -24,12 +24,12 @@ monomial/duality tables, the conversions, and Parseval diagnostics.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 __all__ = [
     "SQRT_PI",
@@ -92,19 +92,52 @@ class QuadratureRule:
             raise ValueError("nodes/weights must both have shape (order,)")
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite_rule(M: int) -> QuadratureRule:
-    """Gauss-Hermite rule of order M (exact for degree <= 2M-1).
+    """Gauss-Hermite rule of order M (exact for degree <= 2M-1), built once per M.
 
-    Nodes and weights come from the Golub-Welsch/Newton machinery behind
-    scipy's roots_hermite, which stays accurate through M = 512.
+    The nodes start as the eigenvalues of the Jacobi matrix of the
+    orthonormal Hermite polynomials h_k (off-diagonal sqrt(k/2); Golub &
+    Welsch, 1969), and two Newton steps on the recurrence of h_k polish the
+    non-negative half.  The recurrence runs on h_k(x) exp(-x^2/2), so
+    nothing overflows through M = 512.  The weights
+    sqrt(pi) / (M h_{M-1}(x)^2), with h_0 = 1, are taken in log form, so the
+    outermost ones underflow to 0 or a subnormal, never to nan.  The
+    negative half mirrors the positive one: the nodes are exactly
+    antisymmetric and the weights exactly symmetric.  The arrays are
+    read-only.
     """
     if not 1 <= M <= _MAX_QUAD_ORDER:
         raise ValueError(f"quadrature order must be in 1..{_MAX_QUAD_ORDER}, got {M}")
-    nodes, weights = roots_hermite(M)
-    rule = QuadratureRule(nodes=nodes, weights=weights, order=M)
+    off = np.sqrt(np.arange(1, M) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[M // 2 :]
+    if M % 2:
+        x[0] = 0.0
+    # the first step takes the eigenvalues' ~1e-14 error to rounding level;
+    # the second, itself at rounding level, supplies h_{M-1} for the weights
+    for _ in range(2):
+        below, at = np.zeros_like(x), np.exp(-0.5 * x * x)
+        for k in range(M):
+            below, at = at, math.sqrt(2.0 / (k + 1)) * x * at - math.sqrt(k / (k + 1)) * below
+        x = x - at / (math.sqrt(2.0 * M) * below)
+    w = np.exp(math.log(SQRT_PI / M) - x * x - 2.0 * np.log(np.abs(below)))
+    half = M // 2
+    nodes = np.concatenate([-x[::-1][:half], x])
+    weights = np.concatenate([w[::-1][:half], w])
     if abs(weights.sum() - SQRT_PI) > 1e-12:
         raise RuntimeError("quadrature weights do not sum to sqrt(pi)")
-    return rule
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, order=M)
+
+
+_ERF = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(t):
+    """erf elementwise by math.erf; a float for scalar t, else a float array."""
+    out = _ERF(t)
+    return out.astype(float) if isinstance(out, np.ndarray) else float(out)
 
 
 def _flag_overflow(values: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:

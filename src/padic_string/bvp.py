@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .basis import SQRT_PI, GridFunction, hermite_table
+from .basis import SQRT_PI, GridFunction, _erf, hermite_table
 from .solver import detect_sign_changes, panel_rule, power_interpolant, solve_3approx
 
 __all__ = [
@@ -62,7 +61,7 @@ class ErfAnsatz:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return 0.5 + 0.5 * erf(t) + self.correction(t)
+        return 0.5 + 0.5 * _erf(t) + self.correction(t)
 
 
 def erf_base_coeff(n: int) -> float:
@@ -144,7 +143,7 @@ def odd_p_ansatz(alpha: float, c) -> object:
 
     def phi(t):
         t = np.asarray(t, dtype=float)
-        return erf(t) + damped.correction(t)
+        return _erf(t) + damped.correction(t)
 
     return phi
 

@@ -15,7 +15,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import erf
 
 from . import basis, bvp, gaussop, heatflow, solver
 
@@ -72,7 +71,7 @@ def _resolve_function(args):
     if name == "linear":
         return lambda t: np.asarray(t, dtype=float)
     if name == "erf":
-        return lambda t: erf(np.asarray(t, dtype=float))
+        return basis._erf
     if name == "cos":
         return lambda t: np.cos(args.xi * np.asarray(t, dtype=float))
     if name == "sin":
@@ -148,7 +147,7 @@ def cmd_solve(args) -> int:
             print(f"wrote {_outpath(args.out)}")
         return 0
 
-    init = {"erf": lambda t: erf(np.asarray(t, dtype=float)), "one": lambda t: np.ones_like(np.asarray(t, dtype=float))}[args.init]
+    init = {"erf": basis._erf, "one": lambda t: np.ones_like(np.asarray(t, dtype=float))}[args.init]
     cfg = solver.SolverConfig(
         p=args.p,
         tol=args.tol,
@@ -161,7 +160,7 @@ def cmd_solve(args) -> int:
     pv = result.grid.values
     breaks = solver.detect_sign_changes(result.phi)
     kphi = solver.apply_K_panels(result.phi, ts, breaks)
-    phi_p = pv * np.abs(pv) ** (args.p - 1)
+    phi_p = solver._equation_power(pv, args.p)
     res = np.abs(kphi - phi_p)
     prefix = args.out_prefix
     sol_path = _write_csv(prefix + ".csv", ["t", "phi", "Kphi", "phi_p", "residual"], zip(ts, pv, kphi, phi_p, res))

@@ -153,7 +153,8 @@ def _chebyshev_pieces(x, breaks) -> tuple[list, np.ndarray, np.ndarray, np.ndarr
     returns the new points, sorted, and the span [first, last] of x that
     each one stands for.
     """
-    bs = np.unique(np.asarray(breaks, dtype=float))
+    bs = np.sort(np.asarray(breaks, dtype=float))
+    bs = bs[np.diff(bs, prepend=-np.inf) > 0]  # np.unique, which would import numpy.ma on first use
     mids = 0.5 * (bs[1:] + bs[:-1])
     starts = np.searchsorted(x, np.maximum(bs - 0.5, np.concatenate([[-np.inf], mids])))
     stops = np.searchsorted(x, np.minimum(bs + 0.5, np.concatenate([mids, [np.inf]])))
@@ -522,6 +523,12 @@ def _reject_nonfinite_seed(nodes, values) -> None:
         raise EvaluationError(f"non-finite seed value at t={node}", node)
 
 
+def _equation_power(v, p: int):
+    """phi^p of the equation: the signed power v |v|^(p-1), and its modulus for even p."""
+    power = v * np.abs(v) ** (p - 1)
+    return np.abs(power) if p % 2 == 0 else power
+
+
 def _default_even_template(t):
     return np.where(np.asarray(t, dtype=float) >= 0, 1.0, -1.0)
 
@@ -641,8 +648,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
-        power = vals * np.abs(vals) ** (cfg.p - 1)
-        eq_res = float(np.max(np.abs(A - (np.abs(power) if even else power))))
+        eq_res = float(np.max(np.abs(A - _equation_power(vals, cfg.p))))
         if even and float(np.min(A)) < -cfg.tol:
             trace.append({"iteration": it, "change": math.nan, "residual": eq_res})
             status = "infeasible"
@@ -676,7 +682,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
 
 
 def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> float:
-    """max_t |K phi(t) - phi(t)^p| over the evaluation grid.
+    """max_t |K phi(t) - phi(t)^p| over the evaluation grid, phi^p being |phi|^p for even p.
 
     K phi is one apply_K_panels call: the kink-aware panel rule, with break
     points defaulting to the sign changes of phi, which is where candidate
@@ -696,7 +702,7 @@ def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> floa
         breaks = detect_sign_changes(f)
     A = apply_K_panels(f, ts, breaks, halfwidth)
     pv = np.asarray(f(ts), dtype=float)
-    return float(np.max(np.abs(A - pv * np.abs(pv) ** (p - 1))))
+    return float(np.max(np.abs(A - _equation_power(pv, p))))
 
 
 def conservation_laws_check(phi, p: int, N: int, breaks=None) -> np.ndarray:

@@ -49,7 +49,7 @@ class TestQuadrature:
         assert rule.nodes == pytest.approx(-rule.nodes[::-1])
         assert rule.weights.sum() == pytest.approx(SQRT_PI, abs=1e-12)
 
-    @pytest.mark.parametrize("M", [64, 200, 512])
+    @pytest.mark.parametrize("M", [64, 96, 151, 200, 512])
     def test_against_mpmath_newton_polish(self, M):
         # every 16th node polished by Newton on H_{k+1} = 2x H_k - 2k H_{k-1}
         # at 40 digits; w = 2^{M-1} M! sqrt(pi) / (M H_{M-1}(x))^2
@@ -78,10 +78,44 @@ class TestQuadrature:
                 else:  # past the double range: the rule's weight underflows too
                     assert rule.weights[i] <= 1e-300
 
+    @pytest.mark.parametrize("M", [1, 2, 33, 96, 512])
+    def test_exact_symmetry_and_total_mass(self, M):
+        rule = basis.gauss_hermite_rule(M)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert not np.isnan(rule.weights).any()
+        assert abs(rule.weights.sum() - SQRT_PI) <= 1e-13
+
+    def test_rule_is_built_once_and_read_only(self):
+        rule = basis.gauss_hermite_rule(96)
+        assert basis.gauss_hermite_rule(96) is rule
+        for arr in (rule.nodes, rule.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     @pytest.mark.parametrize("M", [0, -3, 513])
     def test_order_out_of_range(self, M):
         with pytest.raises(ValueError):
             basis.gauss_hermite_rule(M)
+
+
+class TestErf:
+    def test_against_mpmath(self):
+        tiny = np.geomspace(5e-324, 7.0, 400)  # from the smallest subnormal up
+        t = np.concatenate([np.linspace(-7.0, 7.0, 2801), tiny, -tiny])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.erf(mpmath.mpf(float(x)))) for x in t])
+        got = basis._erf(t)
+        assert got.dtype == np.float64 and got.shape == t.shape
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_special_values_and_scalars(self):
+        got = basis._erf(np.array([np.inf, -np.inf, np.nan, -0.0]))
+        assert got[:2].tolist() == [1.0, -1.0] and np.isnan(got[2])
+        assert got[3] == 0.0 and math.copysign(1.0, got[3]) == -1.0
+        assert type(basis._erf(0.5)) is float and basis._erf(0.5) == math.erf(0.5)
+        assert type(basis._erf(np.float64(-1.0))) is float
 
 
 class TestPolynomials:

@@ -125,6 +125,21 @@ class TestSolveCommand:
         assert coarse > 100 * reports["0.05"]["max_residual"]
         assert coarse / fine > 8
 
+    def test_even_p_artifacts_use_the_equations_power(self, capsys, tmp_path, monkeypatch):
+        # the erf seed is infeasible for p = 2; its CSV, verify JSON and trace
+        # all measure K phi against |phi|^2
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, _, _ = run(["solve", "--p", "2", "--out-prefix", "p2"], capsys)
+        assert code == 1
+        table = np.loadtxt(tmp_path / "p2.csv", delimiter=",", skiprows=1)
+        phi, phi_p, res = table[:, 1], table[:, 3], table[:, 4]
+        assert phi.min() < 0 and np.allclose(phi_p, phi**2, rtol=1e-12, atol=0.0)
+        report = json.loads((tmp_path / "p2_verify.json").read_text())
+        with open(tmp_path / "p2_trace.jsonl") as fh:
+            traced = json.loads(fh.readline())["residual"]
+        assert report["status"] == "infeasible"
+        assert report["max_residual"] == pytest.approx(traced, abs=1e-12) == pytest.approx(res.max(), abs=1e-12)
+
     def test_constant_seed_is_the_exact_even_solution(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         code, out, _ = run(["solve", "--p", "2", "--init", "one", "--out-prefix", "one"], capsys)

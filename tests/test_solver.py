@@ -253,6 +253,7 @@ class TestFixedPoint:
         ts = result.grid.nodes
         expected = np.max(np.abs(gaussop.apply_K_point(erf, ts, rule96) - erf(ts) ** 2))
         assert result.trace[0]["residual"] == pytest.approx(expected, abs=1e-12)
+        assert solver.residual(erf, 2, ts=ts, breaks=[0.0]) == pytest.approx(expected, abs=1e-12)
 
     def test_sign_seed_is_smoothed_exactly(self):
         # a non-smooth callable seed goes through the panel kernel graded at
