@@ -16,7 +16,9 @@ vanishing-moment structure at zeros.
 Off-grid evaluation of iterates goes through a cubic spline of the p-th
 power rather than of phi itself: the power is smooth even where phi has a
 fractional-power zero, so the root of the spline keeps full accuracy near
-sign changes (plain interpolation of phi would lose ~h^(1/3) there).
+sign changes (plain interpolation of phi would lose ~h^(1/3) there).  The
+spline is the not-a-knot cubic on evenly spaced nodes, solved with numpy
+alone; uneven nodes, or fewer than 4, are rejected.
 """
 from __future__ import annotations
 
@@ -544,29 +546,88 @@ def sign_template_from_zeros(zeros) -> object:
     return template
 
 
+# M_{i-1} + 4 M_i + M_{i+1} = b_i on the whole line is solved by M = g * b with
+# g_k = (-r)^|k| / (2 sqrt 3), r = 2 - sqrt 3, and its homogeneous solutions are
+# (-r)^i and (-r)^-i.  sum |g_k| = 1/2, so the sum rounds by about 2^-53 max |b|;
+# the terms past k = 32 add less than r^33 / (1 - r) < 2^-60 max |b|, and the
+# homogeneous terms past i = 32 as little of theirs, so both are cut there.
+_SPLINE_R = 2.0 - math.sqrt(3.0)
+_SPLINE_TAPS = 32
+_SPLINE_DECAY = (-_SPLINE_R) ** np.arange(_SPLINE_TAPS + 1)
+_SPLINE_INVERSE = np.concatenate([_SPLINE_DECAY[:0:-1], _SPLINE_DECAY]) / (2.0 * math.sqrt(3.0))
+
+
+def _not_a_knot_moments(y, h: float) -> np.ndarray:
+    """Second derivatives M of the not-a-knot cubic spline through y on nodes of step h.
+
+    The rows M_{i-1} + 4 M_i + M_{i+1} = 6 (y_{i-1} - 2 y_i + y_{i+1}) / h^2
+    are solved by the line inverse plus a (-r)^i + b (-r)^(n-1-i), with a
+    and b fixed by the not-a-knot rows M_0 - 2 M_1 + M_2 = 0 and
+    M_{n-3} - 2 M_{n-2} + M_{n-1} = 0: no Python loop and no banded solve.
+    """
+    n = y.size
+    b = (6.0 / (h * h)) * (y[:-2] - 2.0 * y[1:-1] + y[2:])  # rows 1 .. n-2
+    M = np.convolve(b, _SPLINE_INVERSE)[_SPLINE_TAPS - 1 : _SPLINE_TAPS - 1 + n]
+    # x_0 - 2 x_1 + x_2 is (1 + r)^2 for x_i = (-r)^i and c (1 + r)^2 for (-r)^(n-1-i),
+    # and the reverse at the far end: a symmetric 2x2 system for a and b
+    e0, e1 = M[0] - 2.0 * M[1] + M[2], M[-3] - 2.0 * M[-2] + M[-1]
+    c = (-_SPLINE_R) ** (n - 3)
+    scale = -1.0 / ((1.0 + _SPLINE_R) ** 2 * (1.0 - c * c))
+    m = min(n, _SPLINE_TAPS + 1)
+    M[:m] += scale * (e0 - c * e1) * _SPLINE_DECAY[:m]
+    M[n - m :] += scale * (e1 - c * e0) * _SPLINE_DECAY[m - 1 :: -1]
+    return M
+
+
 def power_interpolant(nodes, values, p: int, sign_template=None):
     """Evaluate a grid iterate anywhere via a cubic spline of its p-th power.
 
-    The spline is taken through the signed powers v |v|^(p-1); the returned
-    callable maps back with the real p-th root (odd p) or with the given
-    sign template (even p).  Outside the grid the edge powers extend as
-    constants.
+    The spline is the not-a-knot cubic through the signed powers
+    v |v|^(p-1) on evenly spaced nodes; the returned callable maps back with
+    the real p-th root (odd p) or with the given sign template (even p).
+    Outside the grid the edge powers extend as constants.  The nodes must
+    be at least 4 and rise by one step h = (last - first) / (n - 1), each
+    gap within 64 eps max |node| of h, as linspace and arange round them,
+    and each must have a value with a finite power; other input raises
+    ValueError.  The second derivatives are solved on the
+    step h and each piece takes its own gap, so the spline meets every node
+    value to rounding.
     """
-    # Imported here, not at module level: scipy.interpolate is about a third
-    # of the package's import time, and most CLI calls never build a spline.
-    from scipy.interpolate import CubicSpline
-
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
+    n = nodes.size
+    if n < 4:
+        raise ValueError(f"the power spline needs at least 4 nodes, got {n}")
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    h = (hi - lo) / (n - 1)
+    gaps = np.diff(nodes)
+    if not (h > 0 and np.all(np.abs(gaps - h) <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi)))):
+        raise ValueError(f"the power spline needs evenly spaced increasing nodes, got gaps "
+                         f"from {float(np.min(gaps))} to {float(np.max(gaps))}")
     powers = values * np.abs(values) ** (p - 1)
-    spline = CubicSpline(nodes, powers)
-    lo, hi = nodes[0], nodes[-1]
-    p_lo, p_hi = powers[0], powers[-1]
+    if powers.shape != nodes.shape or not np.all(np.isfinite(powers)):
+        raise ValueError("the power spline needs one value per node, with a finite p-th power")
+    M = _not_a_knot_moments(powers, h)
+    # Taylor coefficients in t - nodes[i] of the cubic on [nodes[i], nodes[i+1]],
+    # and a constant piece n-1 from the last node on; knots[i+1] ends piece i.
+    # The gap of each piece, not h, makes it end at the next node value.
+    coeffs = np.zeros((4, n))
+    coeffs[0] = powers
+    coeffs[1, :-1] = np.diff(powers) / gaps - gaps * (2.0 * M[:-1] + M[1:]) / 6.0
+    coeffs[2, :-1] = 0.5 * M[:-1]
+    coeffs[3, :-1] = np.diff(M) / (6.0 * gaps)
+    knots = np.append(nodes, np.inf)
 
     def phi(t):
         t = np.asarray(t, dtype=float)
-        sv = np.asarray(spline(np.clip(t, lo, hi)), dtype=float)
-        sv = np.where(t < lo, p_lo, np.where(t > hi, p_hi, sv))
+        x = np.minimum(np.maximum(t, lo), hi)
+        # the floor, as x >= lo; mode "clip" takes a NaN's index to a NaN value
+        i = ((x - lo) / h).astype(np.intp)
+        i += x >= knots.take(i + 1, mode="clip")  # a node whose quotient rounds below its index
+        # the offset from the node itself: (x - lo) / h - i loses ~400 ulp at the far end
+        d = x - nodes.take(i, mode="clip")
+        c0, c1, c2, c3 = coeffs.take(i, axis=1, mode="clip")
+        sv = c0 + d * (c1 + d * (c2 + d * c3))
         if p % 2 == 1:
             out = np.sign(sv) * np.abs(sv) ** (1.0 / p)
         else:
@@ -706,7 +767,7 @@ def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> floa
 
 
 def conservation_laws_check(phi, p: int, N: int, breaks=None) -> np.ndarray:
-    """|(phi^p, H_n)_1 - (phi, V_n)_{1/2}| for n = 0..N.
+    """|(phi^p, H_n)_1 - (phi, V_n)_{1/2}| for n = 0..N, phi^p being |phi|^p for even p.
 
     Both weighted integrals use the panel rule graded at the sign changes
     of phi; the windows |t| <= 13 (weight 1) and |t| <= 18.5 (weight 1/2)
@@ -717,7 +778,10 @@ def conservation_laws_check(phi, p: int, N: int, breaks=None) -> np.ndarray:
         breaks = detect_sign_changes(f)
     t1, w1 = panel_rule(-13.0, 13.0, breaks)
     fv1 = np.asarray(f(t1), dtype=float)
-    lhs = hermite_table(N, t1) @ (w1 * np.exp(-t1 * t1) * fv1 * np.abs(fv1) ** (p - 1)) / SQRT_PI
+    # the equation's power, |phi|^p for even p, as the modulus of the weighted
+    # signed power: the same product and rounding as for odd p
+    weighted = w1 * np.exp(-t1 * t1) * fv1 * np.abs(fv1) ** (p - 1)
+    lhs = hermite_table(N, t1) @ (np.abs(weighted) if p % 2 == 0 else weighted) / SQRT_PI
     t2, w2 = panel_rule(-18.5, 18.5, breaks)
     fv2 = np.asarray(f(t2), dtype=float)
     rhs = modified_hermite_table(N, t2) @ (w2 * np.exp(-t2 * t2 / 2.0) * fv2) / (SQRT_PI * math.sqrt(2.0))

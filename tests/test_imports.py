@@ -1,9 +1,8 @@
 """Import budget of a CLI process, measured in fresh interpreters.
 
-The package loads no scipy module of its own: the Gauss-Hermite rules, erf
-and the zero locator use numpy and math only.  scipy.interpolate (the
-power spline of an iterating solve) is imported inside power_interpolant,
-so a subcommand that never builds a spline loads no scipy module at all.
+The package loads no scipy module: the Gauss-Hermite rules, erf, the zero
+locator and the power spline of an iterating solve use numpy and math only,
+so no subcommand and no library call below loads a scipy module at all.
 """
 import json
 import os
@@ -61,3 +60,15 @@ def test_non_iterating_subcommands_stay_within_budget(tmp_path):
     ]
     results = json.loads(fresh_python(RUN_CALLS, json.dumps(calls), cwd=tmp_path))
     assert results == [[0, []]] * len(calls)
+
+
+def test_iterating_solve_and_grid_zero_analysis_load_no_scipy(tmp_path):
+    code = RUN_CALLS.replace("print(json.dumps(out))", """
+import numpy as np
+from padic_string import basis, bvp
+nodes = np.linspace(-10.0, 10.0, 401)
+bvp.local_zero_analysis(basis.GridFunction(nodes, np.cbrt(np.tanh(nodes))), 1)
+out.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(json.dumps(out))""")
+    results = json.loads(fresh_python(code, json.dumps([["solve", "--p", "3"]]), cwd=tmp_path))
+    assert results == [[0, []], []]

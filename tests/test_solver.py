@@ -3,6 +3,7 @@ import functools
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -194,6 +195,48 @@ class TestPowerInterpolant:
         nodes = np.linspace(-5, 5, 101)
         phi = solver.power_interpolant(nodes, np.tanh(nodes), 3)
         assert phi(9.0) == pytest.approx(math.tanh(5.0), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 1000), lo=st.integers(-2**20, 2**20), step=st.integers(1, 2**12))
+    def test_matches_scipy_not_a_knot_spline(self, data, n, lo, step):
+        # dyadic lo and step make every node lo + i h exact, so both splines
+        # interpolate the same data on the same evenly spaced nodes
+        from scipy.interpolate import CubicSpline
+
+        lo, h = lo / 1024, step / 256
+        nodes = lo + h * np.arange(n)
+        values = data.draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+        t = lo + (nodes[-1] - lo) * data.draw(hnp.arrays(float, 40, elements=st.floats(-0.25, 1.25)))
+        powers = values * np.abs(values) ** 2
+        # p = 1 returns the spline itself; p = 3 its real cube root
+        spline = solver.power_interpolant(nodes, powers, 1)(t)
+        assert np.array_equal(solver.power_interpolant(nodes, values, 3)(t), np.sign(spline) * np.abs(spline) ** (1 / 3))
+        reference = CubicSpline(nodes, powers)(np.clip(t, lo, nodes[-1]))
+        assert np.max(np.abs(spline - reference)) <= 16 * np.finfo(float).eps * np.max(np.abs(powers))
+
+    @pytest.mark.parametrize("nodes", [np.linspace(-10, 10, 801), np.arange(-2.0, 2.025, 0.05),
+                                       np.linspace(0.1, 7.3, 999), np.linspace(-1.0, 2.0, 4)])
+    def test_node_values_are_the_node_powers(self, nodes):
+        values = np.sin(3.0 * nodes) + 0.1 * nodes
+        phi = solver.power_interpolant(nodes, values, 1)
+        assert np.array_equal(phi(nodes), values)
+        assert phi(nodes[0] - 1.0) == values[0] and phi(nodes[-1] + 1.0) == values[-1]
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([0.0, 1.0, 3.0, 4.0, 5.0], "evenly spaced"),
+        (np.linspace(1.0, -1.0, 9), "evenly spaced"),
+        (np.linspace(-1.0, 1.0, 401) + 1e-9 * (np.arange(401) % 2), "evenly spaced"),
+        ([0.0, 1.0, 2.0], "at least 4 nodes"),
+        ([0.0], "at least 4 nodes"),
+    ])
+    def test_rejects_uneven_or_too_few_nodes(self, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            solver.power_interpolant(nodes, np.ones(len(nodes)), 3)
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, np.nan, 3.0, 4.0], [0.0, 1.0, 2.0, 1e200, 4.0], [0.0, 1.0, 2.0]])
+    def test_rejects_values_without_a_finite_power_per_node(self, values):
+        with pytest.raises(ValueError, match="one value per node"), np.errstate(over="ignore"):
+            solver.power_interpolant(np.arange(5.0), values, 3)
 
     def test_sign_template_from_zeros(self):
         template = solver.sign_template_from_zeros([-1.0, 0.5])
@@ -554,6 +597,19 @@ class TestConservationLaws:
     def test_converged_solution(self, solved_p3):
         laws = solver.conservation_laws_check(solved_p3.phi, 3, 8)
         assert np.max(laws) < 1e-6
+
+    def test_even_p_laws_use_the_equations_power(self):
+        # the erf seed of `solve --p 2`: (erf, V_n)_{1/2} vanishes for even n by
+        # parity, so the even laws are (|erf|^2, H_n)_1, where the signed power
+        # erf |erf| would give 0
+        laws = solver.conservation_laws_check(basis._erf, 2, 8)
+        with mpmath.workdps(20):
+            for n in range(0, 9, 2):
+                integral = mpmath.quad(lambda t: mpmath.erf(t) ** 2 * mpmath.hermite(n, t) * mpmath.exp(-t * t),
+                                       [-mpmath.inf, 0, mpmath.inf])
+                reference = abs(float(integral / mpmath.sqrt(mpmath.pi)))
+                assert reference > 0.1
+                assert laws[n] == pytest.approx(reference, rel=1e-10)
 
     def test_zero_moment_structure_at_multiple_zero(self, rule96):
         # K H_4 = 16 t^4 has a multiplicity-4 zero at 0: the first four
