@@ -19,7 +19,6 @@ from .bvp import ErfAnsatz, local_zero_analysis, odd_p_ansatz, solve_bvp_3approx
 from .gaussop import (
     EigenfunctionSpec,
     TaylorSeries,
-    apply_K_grid,
     apply_K_point,
     apply_K_series,
     eigenfunction,

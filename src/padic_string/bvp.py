@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SQRT_PI, GridFunction, _erf, hermite_table
-from .solver import detect_sign_changes, panel_rule, power_interpolant, solve_3approx
+from .solver import _zero_exponent, detect_sign_changes, panel_rule, power_interpolant, solve_3approx
 
 __all__ = [
     "ErfAnsatz",
@@ -187,13 +187,9 @@ def local_zero_analysis(phi, q: int) -> LocalZeroReport:
     tau, w = panel_rule(-12.0, 12.0, breaks=(0.0,))
     fv = np.asarray(f(t0 + tau), dtype=float)
     a1 = 2.0 * float((w * tau * np.exp(-tau * tau)) @ fv) / SQRT_PI
-    vals = np.abs(np.asarray(f(t0 + _FIT_S), dtype=float))
-    if np.any(vals == 0):
-        raise ValueError("candidate vanishes on the fit window; cannot fit an exponent")
-    slope = float(np.polyfit(np.log(_FIT_S), np.log(vals), 1)[0])
     return LocalZeroReport(
         a1=a1,
-        fitted_exponent=slope,
+        fitted_exponent=_zero_exponent(f, t0, _FIT_S),
         expected_exponent=1.0 / (2 * q + 1),
         violation=not a1 > 0,
     )

@@ -470,6 +470,10 @@ def main(argv=None) -> int:
         parser.error(f"--tmin and --tmax must be finite with --tmax >= --tmin, got {args.tmin} and {args.tmax}")
     if args.command == "bvp" and not 1 < args.alpha_sq < math.inf:
         parser.error(f"--alpha-sq must be finite and exceed 1, got {args.alpha_sq}")
+    if args.command == "solve" and args.max_iter < 1:
+        parser.error(f"--max-iter must be at least 1, got {args.max_iter}")
+    if args.command == "interp" and not 0 <= args.x < math.inf:
+        parser.error(f"--x must be finite and non-negative, got {args.x}")
     if args.command == "solve" and args.out is not None and args.approx is None:
         parser.error("--out is only for the --approx table; name the solver output with --out-prefix")
     try:

@@ -23,11 +23,10 @@ import numpy as np
 
 from .basis import (
     SQRT_PI,
-    GridFunction,
     HermiteSeries,
     QuadratureRule,
     _conversion_matrix,
-    gauss_hermite_rule,
+    gauss_hermite_rule,  # noqa: F401 -- unused here; perfbench/test_perfbench.py expects this binding
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "EvaluationError",
     "gauss_moment",
     "apply_K_point",
-    "apply_K_grid",
     "apply_K_series",
     "K_adjoint_on_H",
     "norm_bound",
@@ -117,14 +115,6 @@ def gauss_moment(f, t, rule: QuadratureRule, x: float = 1.0, k: int = 0):
 def apply_K_point(f, t, rule: QuadratureRule):
     """(K f)(t) = pi^(-1/2) sum_i w_i f(t - u_i), vectorized over t."""
     return gauss_moment(f, t, rule)
-
-
-def apply_K_grid(f, ts, rule: QuadratureRule | None = None) -> GridFunction:
-    """Sample K f on the given nodes by Gauss-Hermite quadrature."""
-    if rule is None:
-        rule = gauss_hermite_rule(96)
-    ts = np.asarray(ts, dtype=float)
-    return GridFunction(nodes=ts, values=np.atleast_1d(apply_K_point(f, ts, rule)))
 
 
 def apply_K_series(s: HermiteSeries) -> TaylorSeries:

@@ -10,7 +10,7 @@ which after tau = t - sqrt(x) v is a plain Gauss-Hermite sum.  The module
 evaluates u and u_t, checks the energy and mean conservation laws that any
 boundary-value solution must satisfy, provides the exact polynomial caloric
 solutions whose zeros branch out of a multiple zero of u(1, .), locates and
-classifies zeros (multiplicity by dyadic log-log slope, jumps by saltus
+classifies zeros (multiplicity by a dyadic log-log fit, jumps by saltus
 scan), and evaluates the a-priori kernel bound for even powers.
 """
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 
 from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
 from .gaussop import gauss_moment
-from .solver import _admissible_limits, _bisect, _sign_brackets, apply_K_panels, detect_sign_changes, panel_rule
+from .solver import (_admissible_limits, _bisect, _sign_brackets, _zero_exponent, apply_K_panels,
+                     detect_sign_changes, panel_rule)
 
 __all__ = [
     "BranchingPolynomial",
@@ -42,7 +43,6 @@ __all__ = [
     "track_zeros",
     "kernel_estimate_bound",
     "kernel_estimate_check",
-    "detect_multiplicity",
     "zero_report",
 ]
 
@@ -56,8 +56,8 @@ def poisson_eval(phi, x: float, t, rule: QuadratureRule | None = None):
     """
     if rule is None:
         rule = gauss_hermite_rule(96)
-    if x < 0:
-        raise ValueError(f"heat time x must be non-negative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"heat time x must be finite and non-negative, got {x}")
     t = np.asarray(t, dtype=float)
     if x == 0:
         out = np.asarray(phi(t), dtype=float)
@@ -73,8 +73,8 @@ def poisson_dt(phi, x: float, t, rule: QuadratureRule | None = None):
     """
     if rule is None:
         rule = gauss_hermite_rule(96)
-    if x <= 0:
-        raise ValueError(f"kernel derivative needs x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"kernel derivative needs a finite x > 0, got {x}")
     return -2.0 / math.sqrt(x) * gauss_moment(phi, t, rule, x, k=1)
 
 
@@ -131,8 +131,8 @@ def mean_conservation_residual(phi, p: int, x: float, rule: QuadratureRule | Non
     window ends; when it does not (distance > 0.05), the report is marked
     not applicable and the residuals are NaN.  The report states the window.
     """
-    if x < 0:
-        raise ValueError(f"heat time x must be non-negative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"heat time x must be finite and non-negative, got {x}")
     if rule is None:
         rule = gauss_hermite_rule(96)
     a, b = _MEAN_WINDOW
@@ -297,22 +297,6 @@ def kernel_estimate_check(phi, q: int, x: float, ts, rule: QuadratureRule | None
     return float(np.min(bound - jv))
 
 
-def detect_multiplicity(f, t0: float, j_range: tuple[int, int] = (6, 18)) -> float:
-    """Order of a zero of f at t0 by log-log slope on the dyadic ladder t0 +- 2^-j."""
-    hs, vals = [], []
-    for j in range(*j_range):
-        h = 2.0**-j
-        for side in (+1, -1):
-            v = abs(float(f(t0 + side * h)))
-            if v > 0:
-                hs.append(h)
-                vals.append(v)
-    if len(vals) < 4:
-        raise ValueError(f"cannot fit a slope at t0={t0}: function vanishes on the ladder")
-    slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
-    return float(slope)
-
-
 @dataclass(frozen=True)
 class ZeroReport:
     """Zeros (location, multiplicity) and first-kind jumps (location, saltus)."""
@@ -331,21 +315,22 @@ def zero_report(g: GridFunction) -> ZeroReport:
     neighbour change is reported as a discontinuity of the first kind (at
     the gap's midpoint) with its saltus; remaining sign changes are refined
     by bisection on the interpolant and, with exact zeros at nodes,
-    classified by the dyadic slope fit (multiplicity,
-    rounded to the nearest integer >= 1).  The dyadic ladder stays above
-    the grid spacing, below which linear interpolation would flatten every
-    zero to first order.
+    classified by the log-log fit of |g(t0 + 2^-j)| (multiplicity, rounded
+    to the nearest integer >= 1; 1 where g vanishes on the ladder).  The
+    dyadic ladder stays above the grid spacing, below which linear
+    interpolation would flatten every zero to first order.
     """
     t, v = g.nodes, g.values
     h_grid = float(np.median(np.diff(t)))
     j_lo = max(0, math.ceil(-math.log2(min(0.25, 32 * h_grid))))
     j_hi = max(j_lo + 4, math.floor(-math.log2(2 * h_grid)) + 1)
+    ladder = 2.0 ** -np.arange(j_lo, j_hi)
     dv = np.abs(np.diff(v))
     med = max(float(np.median(dv)), 1e-300)
 
     def multiplicity_at(t0: float) -> int:
         try:
-            return max(1, round(detect_multiplicity(g, t0, j_range=(j_lo, j_hi))))
+            return max(1, round(_zero_exponent(g, t0, ladder)))
         except ValueError:
             return 1
 

@@ -5,13 +5,12 @@ phi^2 against the exact Taylor action of K on Hermite data yields an
 infinite quadratic system in the Hermite coefficients a_n; its truncations
 are assembled exactly (TruncatedSystem) and solved either in closed form
 for the four-unknown case (solve_3approx, which enumerates every branch of
-the truncated system) or by damped Newton iteration (newton_solve).  For
-general p >= 2 a grid fixed-point iteration inverts the equation as
-phi <- p-th root of K phi, with a caller-supplied sign template in the
-even-p case where the root loses the sign.  The remaining functions verify
+the truncated system) or by damped Newton iteration on the exact Jacobian
+(newton_solve).  For general p >= 2 a grid fixed-point iteration inverts
+the equation as phi <- p-th root of K phi, with a caller-supplied sign
+template in the even-p case where the root loses the sign.  The remaining functions verify
 candidates: equation residual, the integral conservation laws
-(phi^p, H_n)_1 = (phi, V_n)_{1/2}, boundary-limit diagnostics, and the
-vanishing-moment structure at zeros.
+(phi^p, H_n)_1 = (phi, V_n)_{1/2} and boundary-limit diagnostics.
 
 Off-grid evaluation of iterates goes through a cubic spline of the p-th
 power rather than of phi itself: the power is smooth even where phi has a
@@ -34,14 +33,13 @@ from .basis import (
     SQRT_PI,
     GridFunction,
     HermiteSeries,
-    QuadratureRule,
     _as_callable,
     _conversion_matrix,
-    gauss_hermite_rule,
+    gauss_hermite_rule,  # noqa: F401 -- unused here; perfbench/test_perfbench.py expects this binding
     hermite_table,
     modified_hermite_table,
 )
-from .gaussop import EvaluationError, gauss_moment
+from .gaussop import EvaluationError
 
 __all__ = [
     "SolverConfig",
@@ -61,7 +59,6 @@ __all__ = [
     "residual",
     "conservation_laws_check",
     "limit_diagnostics",
-    "zero_moments",
     "exact_gaussian_solution",
 ]
 
@@ -116,6 +113,14 @@ def _bisect(f, lo, hi) -> np.ndarray:
         lo = np.where(sign_mid == -sign_lo, lo, mid)
         hi = np.where(sign_mid == sign_lo, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _zero_exponent(f, t0: float, s) -> float:
+    """Exponent e of |f(t0 + s)| ~ c s^e: the slope of a log-log least-squares fit over the offsets s."""
+    vals = np.abs(np.asarray(f(t0 + s), dtype=float))
+    if np.any(vals == 0):
+        raise ValueError(f"function vanishes on the fit offsets at t0={t0}; cannot fit an exponent")
+    return float(np.polyfit(np.log(s), np.log(vals), 1)[0])
 
 
 def detect_sign_changes(f, lo: float = -6.0, hi: float = 6.0, samples: int = 961) -> list[float]:
@@ -350,6 +355,8 @@ class SolverConfig:
             raise ValueError(f"power p must be a positive integer, got {self.p}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not 5 <= self.grid_halfwidth < math.inf:
             raise ValueError(f"grid halfwidth must be finite and >= 5, got {self.grid_halfwidth}")
         if not 0 < self.grid_step < math.inf:
@@ -388,15 +395,15 @@ class TruncatedSystem:
     def residual(self, a) -> np.ndarray:
         return np.asarray(a, dtype=float) - self.rhs(a)
 
-    def jacobian_fd(self, a, step: float = 1e-7) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        r0 = self.residual(a)
-        J = np.empty((a.size, a.size))
-        for j in range(a.size):
-            bumped = a.copy()
-            bumped[j] += step
-            J[:, j] = (self.residual(bumped) - r0) / step
-        return J
+    def jacobian(self, a) -> np.ndarray:
+        """The exact Jacobian I - 2 diag(n!) T(S) C of the quadratic residual.
+
+        T(S)[n, k] = S_{n-k} for k <= n is the lower-triangular Toeplitz
+        matrix of the inner sums, and C maps a to S.
+        """
+        S = self.inner_sums(a)
+        n = np.arange(self.N + 1)
+        return np.eye(self.N + 1) - 2.0 * self._fact[:, None] * (np.tril(S[n[:, None] - n]) @ self._C)
 
 
 @dataclass(frozen=True)
@@ -485,25 +492,29 @@ class NewtonResult:
 
 
 def newton_solve(system: TruncatedSystem, init, cfg: SolverConfig) -> NewtonResult:
-    """Damped Newton iteration with forward-difference Jacobian (step 1e-7).
+    """Damped Newton iteration on the exact Jacobian (TruncatedSystem.jacobian).
 
     Stops when the residual max-norm drops below cfg.tol; a Jacobian with
     condition number above 1e12 yields status 'singular' and the current
-    iterate; exhausting max_iter yields 'diverged'.
+    iterate; exhausting max_iter yields 'diverged'.  Each trace entry has
+    the residual, the condition number of the Jacobian formed there and the
+    step length lam taken from there (NaN where none was).  The result's
+    condition is that of the last Jacobian formed, NaN if there was none.
     """
     a = np.asarray(init, dtype=float).copy()
     if a.size != system.N + 1:
         raise ValueError(f"initial vector must have length {system.N + 1}")
     trace = []
-    cond = 0.0
+    cond = math.nan
     for it in range(cfg.max_iter):
         r = system.residual(a)
         rn = float(np.max(np.abs(r)))
-        trace.append({"iteration": it, "residual": rn})
+        entry = {"iteration": it, "residual": rn, "condition": math.nan, "lam": math.nan}
+        trace.append(entry)
         if rn < cfg.tol:
             return NewtonResult(HermiteSeries("H", a), "converged", it, rn, cond, trace)
-        J = system.jacobian_fd(a)
-        cond = float(np.linalg.cond(J))
+        J = system.jacobian(a)
+        cond = entry["condition"] = float(np.linalg.cond(J))
         if not np.isfinite(cond) or cond > 1e12:
             return NewtonResult(HermiteSeries("H", a), "singular", it, rn, cond, trace)
         step = np.linalg.solve(J, r)
@@ -513,6 +524,7 @@ def newton_solve(system: TruncatedSystem, init, cfg: SolverConfig) -> NewtonResu
             if float(np.max(np.abs(system.residual(candidate)))) < rn or lam <= 1.0 / 64:
                 break
             lam /= 2.0
+        entry["lam"] = lam
         a = candidate
     rn = float(np.max(np.abs(system.residual(a))))
     return NewtonResult(HermiteSeries("H", a), "diverged", cfg.max_iter, rn, cond, trace)
@@ -841,18 +853,6 @@ def limit_diagnostics(phi: GridFunction, p: int, edge: float = 8.0) -> LimitRepo
         dpow_left=dpow_left,
         dpow_right=dpow_right,
     )
-
-
-def zero_moments(phi, t0: float, count: int, rule: QuadratureRule | None = None) -> np.ndarray:
-    """Moments pi^(-1/2) int phi(tau) (tau - t0)^k e^{-(t0-tau)^2} dtau, k < count.
-
-    At a zero of K phi of multiplicity 2n the first 2n of these vanish, and
-    the 2n-th times 2^{2n} recovers the leading Taylor coefficient there.
-    """
-    if rule is None:
-        rule = gauss_hermite_rule(96)
-    f = _as_callable(phi)
-    return np.array([(-1.0) ** k * gauss_moment(f, t0, rule, k=k) for k in range(count)])
 
 
 def exact_gaussian_solution(p: int):

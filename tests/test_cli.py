@@ -297,10 +297,14 @@ class TestOptionUsageErrors:
             (["branch", "--n", "2", "--eps", "0.7"], "--eps must be in (0, 0.5], got 0.7"),
             (["solve", "--p", "3", "--quadrature", "96"], "unrecognized arguments: --quadrature 96"),
             (["solve", "--p", "3", "--damping", "0.5"], "unrecognized arguments: --damping 0.5"),
+            (["solve", "--p", "3", "--max-iter", "0"], "--max-iter must be at least 1, got 0"),
+            (["interp", "--x", "nan"], "--x must be finite and non-negative, got nan"),
+            (["interp", "--x", "inf"], "--x must be finite and non-negative, got inf"),
         ],
         ids=["hermite-zero-step", "solve-zero-step", "negative-step", "nan-step",
              "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one",
-             "zero-eps", "eps-above-half", "solve-quadrature-removed", "solve-damping-removed"],
+             "zero-eps", "eps-above-half", "solve-quadrature-removed", "solve-damping-removed",
+             "max-iter-zero", "interp-nan-x", "interp-inf-x"],
     )
     def test_exits_two_naming_the_option(self, argv, message, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

@@ -77,6 +77,19 @@ class TestTruncatedSystem:
         fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=float)
         assert solver.TruncatedSystem(N).inner_sums(a) == pytest.approx(converted / fact, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("N", [3, 8, 20])
+    def test_jacobian_is_exact(self, N):
+        # the residual is a - rhs(a) with rhs a quadratic form, so its Taylor
+        # expansion stops at second order: r(a + d) - r(a) - J(a) d = -rhs(d)
+        system = solver.TruncatedSystem(N)
+        rng = np.random.default_rng(41 + N)
+        for _ in range(5):
+            a, d = rng.standard_normal((2, N + 1))
+            step = system.jacobian(a) @ d
+            remainder = system.residual(a + d) - system.residual(a) - step
+            scale = max(np.max(np.abs(t)) for t in (system.residual(a + d), system.residual(a), step))
+            assert np.max(np.abs(remainder + system.rhs(d))) <= 1e-12 * scale
+
     def test_minimum_order(self):
         with pytest.raises(ValueError):
             solver.TruncatedSystem(2)
@@ -146,8 +159,26 @@ class TestNewton:
         cfg = solver.SolverConfig(p=2, tol=1e-12)
         result = solver.newton_solve(system, [1.001, 0, 0, 0], cfg)
         assert result.status == "converged"
-        assert result.iterations <= 3
+        assert result.iterations == 2
         assert result.series.coeffs == pytest.approx([1, 0, 0, 0], abs=1e-10)
+
+    def test_trace_records_condition_and_step_length(self):
+        system = solver.TruncatedSystem(3)
+        result = solver.newton_solve(system, [1.001, 0, 0, 0], solver.SolverConfig(p=2, tol=1e-12))
+        *steps, last = result.trace
+        assert [e["iteration"] for e in result.trace] == list(range(result.iterations + 1))
+        assert steps[0]["condition"] == float(np.linalg.cond(system.jacobian([1.001, 0, 0, 0])))
+        assert all(1.0 <= e["condition"] < 1e12 and 0 < e["lam"] <= 1.0 for e in steps)
+        assert result.condition == steps[-1]["condition"]
+        # the converged iterate takes no step, so it forms no Jacobian
+        assert math.isnan(last["condition"]) and math.isnan(last["lam"])
+
+    def test_condition_is_nan_without_a_jacobian(self):
+        # the closed-form branch already solves the truncation: Newton stops at iteration 0
+        branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
+        result = solver.newton_solve(solver.TruncatedSystem(3), branch.coefficients(), solver.SolverConfig(p=2, tol=1e-12))
+        assert (result.status, result.iterations) == ("converged", 0)
+        assert math.isnan(result.condition)
 
     def test_stays_on_closed_branch(self):
         system = solver.TruncatedSystem(3)
@@ -614,7 +645,7 @@ class TestConservationLaws:
     def test_zero_moment_structure_at_multiple_zero(self, rule96):
         # K H_4 = 16 t^4 has a multiplicity-4 zero at 0: the first four
         # shifted moments vanish and 2^4 times the fourth recovers a_4
-        moments = solver.zero_moments(lambda t: basis.eval_H(4, t), 0.0, 5, rule96)
+        moments = np.array([gaussop.gauss_moment(lambda t: basis.eval_H(4, t), 0.0, rule96, k=k) for k in range(5)])
         assert np.max(np.abs(moments[:4])) < 1e-6
         assert 2.0**4 * moments[4] == pytest.approx(2.0**4 * math.factorial(4), abs=1e-8)
 
@@ -666,6 +697,11 @@ class TestConfigValidation:
             solver.SolverConfig(p=2, grid_halfwidth=3.0)
         with pytest.raises(ValueError, match="grid halfwidth must be finite"):
             solver.SolverConfig(p=2, grid_halfwidth=math.inf)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_must_be_positive(self, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            solver.SolverConfig(p=3, max_iter=max_iter)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
     def test_grid_step_must_be_positive_and_finite(self, step):
