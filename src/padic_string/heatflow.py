@@ -97,17 +97,19 @@ def energy_identity_residual(phi, p: int, domain: tuple[float, float] = (-10.0, 
     residual is |int (K phi)^2 - int phi^{2p}|.  The window drops the
     boundary flux (1/2) int_0^1 [u u_t]_a^b dx.
 
-    The t-integral uses the graded panel_rule at the sign changes that
-    detect_sign_changes finds on 801 points of the window, and K phi is one
-    apply_K_panels call at its nodes with the same breaks, so phi is sampled
-    up to 12 beyond the window.
+    (K phi)^2 is entire, so its t-integral takes the plain panel_rule of the
+    window, with K phi one apply_K_panels call at those nodes, graded at the
+    sign changes that detect_sign_changes finds on 801 points of the window;
+    phi is so sampled up to 12 beyond the window.  phi^{2p} keeps the
+    fractional-power zeros of phi and takes the panel_rule graded there.
     """
     a, b = domain
     breaks = detect_sign_changes(phi, a, b, 801)
-    ts, wt = panel_rule(a, b, breaks)
+    ts, wt = panel_rule(a, b)
     kphi = apply_K_panels(phi, ts, breaks)
-    pv = np.asarray(phi(ts), dtype=float)
-    return abs(float(wt @ (kphi**2 - pv ** (2 * p))))
+    tg, wg = panel_rule(a, b, breaks)
+    pv = np.asarray(phi(tg), dtype=float)
+    return abs(float(wt @ kphi**2 - wg @ pv ** (2 * p)))
 
 
 @dataclass(frozen=True)
@@ -315,16 +317,15 @@ def zero_report(g: GridFunction) -> ZeroReport:
     neighbour change is reported as a discontinuity of the first kind (at
     the gap's midpoint) with its saltus; remaining sign changes are refined
     by bisection on the interpolant and, with exact zeros at nodes,
-    classified by the log-log fit of |g(t0 + 2^-j)| (multiplicity, rounded
+    classified by the log-log fit of |g(t0 + s)| (multiplicity, rounded
     to the nearest integer >= 1; 1 where g vanishes on the ladder).  The
-    dyadic ladder stays above the grid spacing, below which linear
-    interpolation would flatten every zero to first order.
+    ladder is whole grid steps, s = 2^m h <= 1/2 for m >= 1 (two rungs at
+    least), where linear interpolation is exact at a zero on a node;
+    between nodes its chord would flatten a high-order zero.
     """
     t, v = g.nodes, g.values
     h_grid = float(np.median(np.diff(t)))
-    j_lo = max(0, math.ceil(-math.log2(min(0.25, 32 * h_grid))))
-    j_hi = max(j_lo + 4, math.floor(-math.log2(2 * h_grid)) + 1)
-    ladder = 2.0 ** -np.arange(j_lo, j_hi)
+    ladder = h_grid * 2.0 ** np.arange(1, max(2, math.floor(math.log2(0.5 / h_grid))) + 1)
     dv = np.abs(np.diff(v))
     med = max(float(np.median(dv)), 1e-300)
 

@@ -22,7 +22,6 @@ alone; uneven nodes, or fewer than 4, are rejected.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,35 +187,34 @@ class _PanelKernel:
     """The map f -> K f at the rows ts, on the panel rule of [min ts - halfwidth, max ts + halfwidth].
 
     halfwidth is the integration window: a row's band reaches halfwidth
-    from it (from the Chebyshev rows that stand in for it, near a break)
-    unless the integrand's bound shows the tail past _BAND below rounding.
-    Two steps of the fast Gauss transform (Greengard & Strain, SIAM J. Sci.
-    Stat. Comput. 12, 1991) make one kernel cheap enough to serve a whole
-    solve:
+    from it unless the integrand's bound shows the tail past _BAND below
+    rounding.  Two steps of the fast Gauss transform (Greengard & Strain,
+    SIAM J. Sci. Stat. Comput. 12, 1991) make one kernel cheap enough to
+    serve a whole solve:
 
     * Compression.  On a span of width 1, e^{-(t-tau)^2} is a polynomial of
-      degree _CHEB - 1 in either variable to rounding.  So the graded panel
-      nodes within 1/2 of a break become _CHEB Chebyshev nodes c_m, with
-      weights g_m = sum_k l_m(tau_k) w_k f(tau_k), and the rows within 1/2
-      of a break, where there are enough of them, are K f at _CHEB
-      Chebyshev rows, interpolated (_chebyshev_pieces).
+      degree _CHEB - 1 in tau to rounding.  So the graded panel nodes within
+      1/2 of a break become _CHEB Chebyshev nodes c_m, with weights
+      g_m = sum_k l_m(tau_k) w_k f(tau_k) (_chebyshev_pieces).  The rows
+      are ts itself, sorted.
     * Banding by the integrand's own bound.  Rows are stored in blocks of
-      _KERNEL_BLOCK sorted t over the contiguous slice of nodes they reach,
-      first for |t - tau| <= _BAND (a row that reaches any of a compressed
-      span takes it whole).  An apply keeps that band when the tail it
-      drops, at most e^{-_BAND^2} sum_j w_j |f_j|, is below one rounding
-      unit of every row's sum_j e^{-(t - tau_j)^2} w_j |f_j|, which the same
-      product gives from |f| columns.  Otherwise, for an f that grows too
-      fast for that, the band of the whole halfwidth is built once and used.
+      _KERNEL_BLOCK sorted t over the contiguous slice of nodes that some
+      row of the block reaches, first for |t - tau| <= _BAND (a row that
+      reaches any of a compressed span takes it whole).  An apply keeps that
+      band when the tail it drops, at most e^{-_BAND^2} sum_j w_j |f_j|, is
+      below one rounding unit of every row's sum_j e^{-(t - tau_j)^2} w_j |f_j|,
+      which the same product gives from |f| columns.  Otherwise, for an f
+      that grows too fast for that, the band of the whole halfwidth is built
+      the same way, once, and used.
     """
 
     def __init__(self, ts, breaks=(), halfwidth: float = 12.0):
-        self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self.ts = np.array(ts, dtype=float, ndmin=1)  # a copy: fits must not follow a change in place
         self.breaks = list(breaks)
         self.halfwidth = halfwidth
         self.tau, self.w = panel_rule(float(self.ts.min()) - halfwidth, float(self.ts.max()) + halfwidth, self.breaks)
         self.order = np.argsort(self.ts, kind="stable")
-        self.row_pieces, self.rows, _, _ = _chebyshev_pieces(self.ts[self.order], self.breaks)
+        self.rows = self.ts[self.order]
         self.node_pieces, self.nodes, self.first, self.last = _chebyshev_pieces(self.tau, self.breaks)
         self.narrow = self._band(min(_BAND, halfwidth))
         self.full = self.narrow if halfwidth <= _BAND else None
@@ -224,9 +222,7 @@ class _PanelKernel:
     def _band(self, cut: float) -> list:
         """Blocks of rows with every node within cut of some row of the block.
 
-        Only the band of the whole halfwidth is cut row by row: the narrow
-        band may keep a node a little past _BAND, which only makes the sum
-        more exact.
+        A row may thus sum a few nodes past cut, which only makes it more exact.
         """
         # row t reaches the nodes [reach_lo, reach_hi): those whose span is within cut of t
         reach_lo = np.searchsorted(self.last, self.rows - cut)
@@ -246,11 +242,6 @@ class _PanelKernel:
             used += band.size
             np.matmul(rows[start:stop], nodes[:, lo:hi], out=band)
             np.square(band, out=band)
-            if cut == self.halfwidth:  # exp(-(t - c)^2) where t reaches c, 0 elsewhere
-                a, b = reach_lo[start:stop, None], reach_hi[start:stop, None]
-                left, right = min(a[-1, 0], hi), max(b[0, 0], lo)
-                np.copyto(band[:, : left - lo], np.inf, where=np.arange(lo, left) < a)
-                np.copyto(band[:, right - lo :], np.inf, where=np.arange(right, hi) >= b)
             np.negative(band, out=band)
             np.exp(band, out=band)
             blocks.append((slice(start, stop), slice(lo, hi), band))
@@ -270,9 +261,8 @@ class _PanelKernel:
         return near
 
     def _at_ts(self, near) -> np.ndarray:
-        out = np.empty((near.shape[0], self.ts.size))
-        for src, dst, lagrange in self.row_pieces:
-            out[:, self.order[src]] = near[:, dst] if lagrange is None else near[:, dst] @ lagrange
+        out = np.empty_like(near)
+        out[:, self.order] = near
         return out / SQRT_PI
 
     def __call__(self, f, with_size: bool = False):
@@ -298,13 +288,6 @@ class _PanelKernel:
         return (out, self._at_ts(near_size).T.reshape(shape)) if with_size else out
 
 
-# The kernel of the last fixed_point_iterate run, keyed weakly by the
-# evaluator that run made and returned, so the checks of that result on its
-# own grid reuse it; the entry goes with the result, or when the next run
-# replaces it.  A lost entry only costs a rebuild.
-_SOLVE_KERNEL = weakref.WeakKeyDictionary()
-
-
 def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     """K f on the sample points via the kink-aware composite panel rule.
 
@@ -321,14 +304,11 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     Comput. 12, 1991; see _PanelKernel).  An f returning an (n, r) block of
     r functions gives an (len(ts), r) result from one kernel.  A non-finite
     value of f raises EvaluationError naming the first panel node where it
-    occurs.  A call on the evaluator a fixed_point_iterate run returned, at
-    its grid, its breaks and the default halfwidth, reuses that run's
-    kernel; any other call builds one.
+    occurs.  An f that carries a _panel_kernel attribute, as the evaluator
+    a fixed_point_iterate run made does, has it reused when it fits ts,
+    breaks and halfwidth; any other call builds a kernel.
     """
-    try:
-        kernel = _SOLVE_KERNEL.get(f)
-    except TypeError:  # f cannot be weakly referenced
-        kernel = None
+    kernel = getattr(f, "_panel_kernel", None)
     if kernel is None or not kernel.fits(ts, breaks, halfwidth):
         kernel = _PanelKernel(ts, breaks, halfwidth)
     return kernel(f)
@@ -675,9 +655,10 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel graded at the iterate's sign changes, built once per
     break set and rebuilt only when a break appears, vanishes or moves by
-    more than _BREAK_TOL; the last one stays with the returned evaluator,
-    when the run made it, for apply_K_panels and residual on the grid at
-    those breaks, and goes with it.  Each step is the plain map
+    more than _BREAK_TOL.  The last one travels with the returned evaluator
+    as its _panel_kernel, when the run made that evaluator (never on the
+    caller's seed), for apply_K_panels and residual on the grid at those
+    breaks.  Each step is the plain map
     phi <- root(K phi).
     The run converges when the grid residual max |K phi - phi^p| of the
     current iterate (the trace's 'residual', the change of the smooth power
@@ -740,10 +721,8 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         if len(recent) == 20 and all(x < y for x, y in zip(recent, recent[1:])):
             status = "diverged"
             break
-    _SOLVE_KERNEL.clear()
-    # only an evaluator this run made, which no other operation holds, keys the kernel
-    if apply_K is not None and evaluate is not phi0:
-        _SOLVE_KERNEL[evaluate] = apply_K
+    if evaluate is not phi0:  # the caller's seed outlives the run
+        evaluate._panel_kernel = apply_K
     return IterationResult(
         grid=GridFunction(nodes=ts, values=vals),
         phi=evaluate,
@@ -764,8 +743,8 @@ def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> floa
     tail bound allows it (the compressed, banded _PanelKernel of the fast
     Gauss transform), so only candidates growing like exp(c t^2) use the
     whole window, which must then be widened until the kernel beats the
-    growth.  On the evaluator and grid of a fixed_point_iterate result, at
-    the run's breaks, the run's kernel is reused.
+    growth.  The evaluator of a fixed_point_iterate result carries its
+    run's kernel, which is reused on the run's grid and breaks.
     """
     f = _as_callable(phi)
     if ts is None:

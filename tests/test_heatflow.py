@@ -126,8 +126,9 @@ class TestConservationLaws:
         assert heatflow.energy_identity_residual(result.phi, 5, domain=(-8, 8)) < 1e-8
 
     def test_energy_identity_grades_at_the_kink(self, solved_p3, monkeypatch):
-        # the converged odd kink has phi(0) == 0 exactly: the t-rule must be
-        # graded at that zero, not at the scan points either side of it
+        # the converged odd kink has phi(0) == 0 exactly: the rule of phi^{2p}
+        # must be graded at that zero, not at the scan points either side of
+        # it; the entire (K phi)^2 takes the plain rule
         breaks = []
         original = heatflow.panel_rule
 
@@ -137,7 +138,7 @@ class TestConservationLaws:
 
         monkeypatch.setattr(heatflow, "panel_rule", spy)
         heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8))
-        assert breaks == [[0.0]]
+        assert breaks == [[], [0.0]]
 
     @pytest.mark.parametrize(
         "f",
@@ -168,9 +169,9 @@ class TestConservationLaws:
         heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8))
         assert len(calls) == 1
         ts, breaks = calls[0]
-        # K phi is taken at the nodes of the t-rule, with its breaks
+        # K phi is taken at the nodes of the plain t-rule, its kernel graded at the breaks
         assert breaks == [0.0]
-        np.testing.assert_array_equal(ts, solver.panel_rule(-8.0, 8.0, [0.0])[0])
+        np.testing.assert_array_equal(ts, solver.panel_rule(-8.0, 8.0)[0])
 
     def test_energy_identity_rejects_nan_within_reach(self, solved_p3):
         # K phi on the window (-8, 8) reaches 12 beyond it: NaN from 14 on
@@ -381,6 +382,15 @@ class TestZeroClassification:
         report = heatflow.zero_report(basis.GridFunction(ts, ts**3))
         assert len(report.zeros) == 1
         assert report.zeros[0][1] == 3
+        assert not report.jumps
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_zero_report_high_multiplicity_on_a_coarse_grid(self, n):
+        # step 0.025: the ladder's whole grid steps keep the linear
+        # interpolant exact at the node zero, so a high order is not flattened
+        ts = np.arange(-80, 81) / 40.0
+        report = heatflow.zero_report(basis.GridFunction(ts, ts**n))
+        assert report.zeros == [(0.0, n)]
         assert not report.jumps
 
 

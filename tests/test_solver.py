@@ -202,6 +202,27 @@ class TestNewton:
         fact = np.array([math.factorial(n) for n in range(8)])
         assert fact * squared[:8] == pytest.approx(a, abs=1e-9)
 
+    def test_singular_jacobian_stops_at_once(self):
+        # N = 20 from the head of the closed-form branch: the Jacobian there
+        # has condition 2.3e14 > 1e12, so no step is taken
+        branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
+        init = np.zeros(21)
+        init[:4] = branch.coefficients()
+        result = solver.newton_solve(solver.TruncatedSystem(20), init, solver.SolverConfig(p=2, tol=1e-12))
+        assert (result.status, result.iterations) == ("singular", 0)
+        assert result.condition == pytest.approx(2.26e14, rel=1e-2)
+        np.testing.assert_array_equal(result.series.coeffs, init)
+        assert math.isnan(result.trace[0]["lam"])
+
+    def test_exhausted_iterations_end_diverged(self):
+        system = solver.TruncatedSystem(3)
+        result = solver.newton_solve(system, [3.0, 1.0, 0.5, 0.2], solver.SolverConfig(p=2, max_iter=1))
+        assert (result.status, result.iterations) == ("diverged", 1)
+        assert len(result.trace) == 1 and result.trace[0]["lam"] == 1.0
+        # the residual is that of the iterate returned, after the one step
+        assert result.residual_norm == float(np.max(np.abs(system.residual(result.series.coeffs))))
+        assert result.residual_norm > 1e-10
+
     def test_wrong_init_length(self):
         with pytest.raises(ValueError):
             solver.newton_solve(solver.TruncatedSystem(3), [1.0], solver.SolverConfig(p=2))
@@ -337,6 +358,23 @@ class TestFixedPoint:
         assert result.trace[0]["residual"] == pytest.approx(np.max(np.abs(erf(ts) - np.sign(ts))), abs=1e-12)
         assert np.max(np.abs(result.grid.values - np.cbrt(erf(ts)))) < 1e-12
 
+    def test_growing_changes_end_diverged(self, monkeypatch):
+        # a kernel whose every step doubles phi: the change of phi then grows
+        # strictly, and 20 such changes in a row stop the run
+        class Doubling:
+            def __init__(self, ts, breaks=(), halfwidth=12.0):
+                self.ts, self.breaks = ts, list(breaks)
+
+            def __call__(self, f, with_size=False):
+                A = (2.0 * np.asarray(f(self.ts), dtype=float)) ** 3
+                return A, np.abs(A)
+
+        monkeypatch.setattr(solver, "_PanelKernel", Doubling)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
+        assert (result.status, result.iterations) == ("diverged", 20)
+        changes = [entry["change"] for entry in result.trace]
+        assert changes == sorted(changes) and changes[-1] / changes[0] == pytest.approx(2.0**19, rel=1e-9)
+
     def test_p_one_rejected(self):
         with pytest.raises(ValueError):
             solver.fixed_point_iterate(solver.SolverConfig(p=1), const_one)
@@ -468,8 +506,20 @@ class TestKernelReuse:
         calls = self.count_panel_rules(monkeypatch)
         result = solver.fixed_point_iterate(solver.SolverConfig(p=3), const_one)
         assert result.phi is const_one
+        assert not hasattr(const_one, "_panel_kernel")
         solver.residual(const_one, 3, ts=result.grid.nodes, breaks=[])
         assert len(calls) == 2
+
+    def test_grid_changed_in_place_gets_a_fresh_kernel(self, monkeypatch):
+        # the kernel keeps its own copy of the rows, so moving the result's
+        # grid in place no longer fits the run's kernel
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
+        nodes = result.grid.nodes
+        nodes += 0.0125
+        calls = self.count_panel_rules(monkeypatch)
+        got = solver.apply_K_panels(result.phi, nodes, [0.0])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got, solver._PanelKernel(nodes, [0.0])(result.phi))
 
     def test_shared_kernel_needs_the_same_rows_breaks_and_window(self, monkeypatch):
         calls = self.count_panel_rules(monkeypatch)
@@ -531,7 +581,7 @@ class TestBandedKernel:
     @example(ts=np.linspace(-10.0, 10.0, 801), breaks=[], xi=1.0, halfwidth=12.0)  # no breaks
     @example(ts=solver.panel_rule(-2.0, 2.0, [0.3])[0], breaks=[0.3], xi=1.0, halfwidth=12.0)  # graded rows
     def test_matches_dense_kernel_for_any_break_set(self, ts, breaks, xi, halfwidth):
-        # compressed break panels and rows, a narrowed band: still the dense sum to rounding
+        # compressed break panels, a narrowed band: still the dense sum to rounding
         f = kinked_block(xi)
         got = solver.apply_K_panels(f, ts, breaks, halfwidth)
         assert got.shape == ts.shape + (2,)
