@@ -43,7 +43,7 @@ def _write_csv(path: str, header: list[str], rows) -> str:
 def _write_json(path: str, obj) -> str:
     path = _outpath(path)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -167,7 +167,7 @@ def cmd_solve(args) -> int:
     trace_path = _outpath(prefix + "_trace.jsonl")
     with open(trace_path, "w") as fh:
         for entry in result.trace:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     laws = solver.conservation_laws_check(result.phi, args.p, 8, breaks)
     limits = solver.limit_diagnostics(result.grid, args.p)
     report = {

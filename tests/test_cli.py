@@ -140,6 +140,25 @@ class TestSolveCommand:
         assert report["status"] == "infeasible"
         assert report["max_residual"] == pytest.approx(traced, abs=1e-12) == pytest.approx(res.max(), abs=1e-12)
 
+    def test_infeasible_trace_is_valid_json(self, capsys, tmp_path, monkeypatch):
+        # RFC 8259 has no NaN or Infinity: the infeasible step takes no
+        # change, and its trace line says so with null
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, _, _ = run(["solve", "--p", "2", "--out-prefix", "p2"], capsys)
+        assert code == 1
+        with open(tmp_path / "p2_trace.jsonl") as fh:
+            entries = [json.loads(line, parse_constant=reject) for line in fh]
+        assert entries and entries[-1]["change"] is None
+        json.loads((tmp_path / "p2_verify.json").read_text(), parse_constant=reject)
+
+    def test_json_writers_refuse_nan(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        with pytest.raises(ValueError):
+            cli._write_json("bad.json", {"x": math.nan})
+
     def test_constant_seed_is_the_exact_even_solution(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         code, out, _ = run(["solve", "--p", "2", "--init", "one", "--out-prefix", "one"], capsys)

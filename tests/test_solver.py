@@ -423,6 +423,49 @@ def centred_kink(p: int) -> solver.IterationResult:
     return solver.fixed_point_iterate(solver.SolverConfig(p, grid_step=0.025), erf)
 
 
+def plain_map(p: int) -> tuple[list, np.ndarray]:
+    """phi <- root(K phi) from erf on the step-0.025 grid, written out: the unmixed reference.
+
+    It takes the solver's kernel, snap and stopping rule; the centred kink
+    keeps its one break at the node 0, so one kernel serves every step.
+    """
+    ts = np.linspace(-10.0, 10.0, 801)
+    kernel = solver._PanelKernel(ts, [0.0])
+    vals, evaluate, trace = erf(ts), erf, []
+    while True:
+        A, scale = kernel(evaluate, with_size=True)
+        A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
+        res = float(np.max(np.abs(A - vals * np.abs(vals) ** (p - 1))))
+        root = np.sign(A) * np.abs(A) ** (1.0 / p)
+        trace.append({"iteration": len(trace), "change": float(np.max(np.abs(root - vals))), "residual": res})
+        if res < 1e-10:
+            return trace, vals
+        vals = root
+        evaluate = solver.power_interpolant(ts, vals, p)
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("p, bound", [(3, 13), (5, 11)])
+    def test_centred_kink_takes_few_steps(self, p, bound):
+        # the plain map takes 20 (p = 3) and 15 (p = 5) steps here
+        result = centred_kink(p)
+        assert result.converged and result.iterations <= bound
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_depth_zero_is_the_plain_map(self, p, monkeypatch):
+        monkeypatch.setattr(solver, "_ANDERSON_DEPTH", 0)
+        result = solver.fixed_point_iterate(solver.SolverConfig(p, grid_step=0.025), erf)
+        trace, vals = plain_map(p)
+        assert result.trace == trace
+        np.testing.assert_array_equal(result.grid.values, vals)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_mixing_lands_on_the_plain_map_solution(self, p):
+        _, vals = plain_map(p)
+        mixed = centred_kink(p).grid.values
+        assert np.max(np.abs(mixed * np.abs(mixed) ** (p - 1) - vals * np.abs(vals) ** (p - 1))) < 1e-9
+
+
 class TestTranslationCovariance:
     # K commutes with shifts, so erf(a (t - s)) must converge to the centred
     # kink moved by s, with its zero located at s
