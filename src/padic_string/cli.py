@@ -2,16 +2,19 @@
 
 Subcommands: hermite, apply-k, solve, bvp, interp, branch, verify.  Every
 run is deterministic (seeded randomness, %.15g formatting, sorted JSON
-keys) so identical invocations produce byte-identical artifacts.  Exit
-codes: 0 success, 1 numerical failure, 2 usage error.
+keys) so identical invocations produce byte-identical artifacts.  Every
+Gauss-Hermite sum uses the one rule of order QUADRATURE.  Exit codes: 0
+success, 1 numerical failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -20,6 +23,7 @@ from . import basis, bvp, gaussop, heatflow, solver
 
 FMT = "%.15g"
 OUTDIR_ENV = "PADIC_STRING_OUTDIR"
+QUADRATURE = 96
 
 
 def _outpath(name: str) -> str:
@@ -30,13 +34,19 @@ def _outpath(name: str) -> str:
     return name
 
 
-def _write_csv(path: str, header: list[str], rows) -> str:
+def _write_csv(path: str, header: list[str], rows, gnuplot: bool) -> str:
+    """Write the table; with gnuplot, also path.gp plotting every column against the first."""
     path = _outpath(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([FMT % v for v in row])
+    if gnuplot:
+        name = os.path.basename(path)
+        plots = ", ".join(f"'{name}' using 1:{i} with lines" for i in range(2, len(header) + 1))
+        with open(path + ".gp", "w") as fh:
+            fh.write(f"set datafile separator ','\nset key autotitle columnhead\nplot {plots}\n")
     return path
 
 
@@ -45,16 +55,6 @@ def _write_json(path: str, obj) -> str:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    return path
-
-
-def _write_gnuplot(path: str, datafile: str, ycols: list[str]) -> str:
-    path = _outpath(path)
-    lines = ["set datafile separator ','", "set key autotitle columnhead"]
-    plots = ", ".join(f"'{os.path.basename(datafile)}' using 1:{i + 2} with lines" for i in range(len(ycols)))
-    lines.append("plot " + plots)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -89,49 +89,31 @@ def _resolve_function(args):
 def cmd_hermite(args) -> int:
     ts = _grid(args)
     values = basis.eval_H(args.n, ts) if args.kind == "H" else basis.eval_V(args.n, ts)
-    path = _write_csv(args.out, ["t", "value"], zip(ts, values))
-    if args.gnuplot:
-        _write_gnuplot(path + ".gp", path, ["value"])
+    path = _write_csv(args.out, ["t", "value"], zip(ts, values), args.gnuplot)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_apply_k(args) -> int:
     f = _resolve_function(args)
-    rule = basis.gauss_hermite_rule(args.quadrature)
     ts = _grid(args)
     fv = np.asarray(f(ts), dtype=float)
-    kf = gaussop.apply_K_point(f, ts, rule)
-    path = _write_csv(args.out, ["t", "f", "Kf"], zip(ts, fv, kf))
-    if args.gnuplot:
-        _write_gnuplot(path + ".gp", path, ["f", "Kf"])
+    kf = gaussop.apply_K_point(f, ts, basis.gauss_hermite_rule(QUADRATURE))
+    path = _write_csv(args.out, ["t", "f", "Kf"], zip(ts, fv, kf), args.gnuplot)
     print(f"wrote {path}")
     return 0
 
 
 def _approx_table() -> list[dict]:
-    rows = []
-    for sol in solver.solve_3approx():
-        rows.append(
-            {
-                "label": sol.label,
-                "a0": sol.a0,
-                "a1": sol.a1,
-                "a2": sol.a2,
-                "a3": sol.a3,
-                "eps": sol.eps_branch,
-                "D": sol.D,
-                "equation_residual": sol.equation_residual(),
-            }
-        )
-    return rows
+    return [
+        {"label": s.label, "a0": s.a0, "a1": s.a1, "a2": s.a2, "a3": s.a3, "eps": s.eps_branch, "D": s.D,
+         "equation_residual": s.equation_residual()}
+        for s in solver.solve_3approx()
+    ]
 
 
 def cmd_solve(args) -> int:
     if args.approx is not None:
-        if args.approx != 3:
-            print("only the 3-approximation table is available", file=sys.stderr)
-            return 2
         if args.p != 2:
             print("the truncated coefficient table is specific to p = 2", file=sys.stderr)
             return 2
@@ -163,32 +145,22 @@ def cmd_solve(args) -> int:
     phi_p = solver._equation_power(pv, args.p)
     res = np.abs(kphi - phi_p)
     prefix = args.out_prefix
-    sol_path = _write_csv(prefix + ".csv", ["t", "phi", "Kphi", "phi_p", "residual"], zip(ts, pv, kphi, phi_p, res))
+    sol_path = _write_csv(prefix + ".csv", ["t", "phi", "Kphi", "phi_p", "residual"], zip(ts, pv, kphi, phi_p, res),
+                          args.gnuplot)
     trace_path = _outpath(prefix + "_trace.jsonl")
     with open(trace_path, "w") as fh:
         for entry in result.trace:
             fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     laws = solver.conservation_laws_check(result.phi, args.p, 8, breaks)
-    limits = solver.limit_diagnostics(result.grid, args.p)
     report = {
         "status": result.status,
         "iterations": result.iterations,
         "max_residual": float(np.max(res)),
         "midpoint_residual": solver.residual(result.phi, args.p, ts=0.5 * (ts[1:] + ts[:-1]), breaks=breaks),
         "conservation_laws": [float(v) for v in laws],
-        "limits": {
-            "left_mean": limits.left_mean,
-            "right_mean": limits.right_mean,
-            "left_limit": limits.left_limit,
-            "right_limit": limits.right_limit,
-            "admissible": limits.admissible,
-            "dpow_left": limits.dpow_left,
-            "dpow_right": limits.dpow_right,
-        },
+        "limits": dataclasses.asdict(solver.limit_diagnostics(result.grid, args.p)),
     }
     verify_path = _write_json(prefix + "_verify.json", report)
-    if args.gnuplot:
-        _write_gnuplot(sol_path + ".gp", sol_path, ["phi", "Kphi", "phi_p", "residual"])
     print(f"wrote {sol_path}, {trace_path}, {verify_path}")
     print(f"status={result.status} iterations={result.iterations} max_residual={report['max_residual']:.3e}")
     return 0 if result.converged else 1
@@ -201,7 +173,7 @@ def cmd_bvp(args) -> int:
     c = bvp.solve_bvp_3approx(alpha, targets)
     ansatz = bvp.ErfAnsatz(alpha=alpha, c=c)
     ts = _grid(args)
-    path = _write_csv(args.out, ["t", "phi"], zip(ts, ansatz(ts)))
+    path = _write_csv(args.out, ["t", "phi"], zip(ts, ansatz(ts)), args.gnuplot)
     sidecar = {
         "alpha": alpha,
         "alpha_sq": args.alpha_sq,
@@ -212,20 +184,15 @@ def cmd_bvp(args) -> int:
         "residual": solver.residual(ansatz, 2, ts=np.arange(-2.0, 2.01, 0.05)),
     }
     json_path = _write_json(os.path.splitext(args.out)[0] + ".json", sidecar)
-    if args.gnuplot:
-        _write_gnuplot(path + ".gp", path, ["phi"])
     print(f"wrote {path}, {json_path}")
     return 0
 
 
 def cmd_interp(args) -> int:
     f = _resolve_function(args)
-    rule = basis.gauss_hermite_rule(args.quadrature)
     ts = _grid(args)
-    uv = heatflow.poisson_eval(f, args.x, ts, rule)
-    path = _write_csv(args.out, ["x", "t", "u"], ((args.x, t, u) for t, u in zip(ts, uv)))
-    if args.gnuplot:
-        _write_gnuplot(path + ".gp", path, ["t", "u"])
+    uv = heatflow.poisson_eval(f, args.x, ts, basis.gauss_hermite_rule(QUADRATURE))
+    path = _write_csv(args.out, ["x", "t", "u"], ((args.x, t, u) for t, u in zip(ts, uv)), args.gnuplot)
     print(f"wrote {path}")
     return 0
 
@@ -254,51 +221,39 @@ def cmd_branch(args) -> int:
     return 0 if not tracked.mismatch else 1
 
 
-def _suite_eigen(rule) -> dict:
+def _suite_eigen(rule) -> float:
     ts = np.arange(-3.0, 3.0 + 0.05, 0.05)
     worst = 0.0
-    for xi in (0.5, 1.0, 2.0):
-        spec = gaussop.EigenfunctionSpec(xi=xi, kind="cos")
-        f, lam = gaussop.eigenfunction(spec)
-        kv = gaussop.apply_K_point(f, ts, rule)
-        worst = max(worst, float(np.max(np.abs(kv - lam * f(ts)))))
-    fixed = 0.0
-    for kind in ("const", "linear"):
-        f, _ = gaussop.eigenfunction(gaussop.EigenfunctionSpec(xi=0.0, kind=kind))
-        kv = gaussop.apply_K_point(f, ts, rule)
-        fixed = max(fixed, float(np.max(np.abs(kv - f(ts)))))
-    err = max(worst, fixed)
-    return {"name": "eigen", "max_error": float(err), "tolerance": 1e-8, "passed": bool(err < 1e-8)}
+    for kind, xi in (("cos", 0.5), ("cos", 1.0), ("cos", 2.0), ("const", 0.0), ("linear", 0.0)):
+        f, lam = gaussop.eigenfunction(gaussop.EigenfunctionSpec(xi=xi, kind=kind))
+        worst = max(worst, float(np.max(np.abs(gaussop.apply_K_point(f, ts, rule) - lam * f(ts)))))
+    return worst
 
 
-def _suite_parseval(rule) -> dict:
-    cases = [
-        (lambda t: np.exp(-(t**2)), "H"),
-        (lambda t: np.cos(t), "H"),
-        (lambda t: np.exp(t), "H"),
-    ]
+def _suite_parseval(rule) -> float:
+    cases = [lambda t: np.exp(-(t**2)), np.cos, np.exp]
+    return max(basis.parseval_residual(f, basis.project(f, 1.0, 30, rule), rule) for f in cases)
+
+
+def _random_polynomials(seed: int, count: int, degree: int) -> list:
+    """count seeded entire test functions: polynomials with coefficients N(0, 1) / k!."""
+    rng = random.Random(seed)
+    scale = [math.factorial(k) for k in range(degree + 1)]
+    coeffs = [np.array([rng.gauss(0.0, 1.0) / s for s in scale]) for _ in range(count)]
+    return [lambda t, c=c: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c) for c in coeffs]
+
+
+def _suite_adjoint(rule) -> float:
     worst = 0.0
-    for f, _ in cases:
-        series = basis.project(f, 1.0, 30, rule)
-        worst = max(worst, basis.parseval_residual(f, series, rule))
-    return {"name": "parseval", "max_error": float(worst), "tolerance": 1e-8, "passed": bool(worst < 1e-8)}
-
-
-def _suite_adjoint(rule) -> dict:
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(10):
-        coeffs = rng.standard_normal(7) / np.array([math.factorial(k) for k in range(7)])
-        f = lambda t, c=coeffs: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c)
-        kf = lambda t, g=f: gaussop.apply_K_point(g, t, rule)
-        lhs = basis.project(kf, 1.0, 8, rule).coeffs
+    for f in _random_polynomials(0, 10, 6):
+        lhs = basis.project(lambda t, g=f: gaussop.apply_K_point(g, t, rule), 1.0, 8, rule).coeffs
         rhs = basis.project(f, 0.5, 8, rule).coeffs
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return {"name": "adjoint", "max_error": float(worst), "tolerance": 1e-8, "passed": bool(worst < 1e-8)}
+    return worst
 
 
-def _suite_exact(rule) -> dict:
-    rng = np.random.default_rng(1)
+def _suite_exact(rule) -> float:
+    rng = random.Random(1)
     worst = 0.0
     for p in (2, 3):
         phi, u = solver.exact_gaussian_solution(p)
@@ -307,69 +262,57 @@ def _suite_exact(rule) -> dict:
             x = rng.uniform(0.05, 1.0)
             t = rng.uniform(-2.0, 2.0)
             worst = max(worst, abs(heatflow.poisson_eval(phi, x, t, rule) - u(x, t)))
-    return {"name": "exact", "max_error": float(worst), "tolerance": 1e-8, "passed": bool(worst < 1e-8)}
+    return worst
 
 
-def _suite_normbound(rule) -> dict:
-    rng = np.random.default_rng(2)
+def _suite_normbound(rule) -> float:
     bound = gaussop.norm_bound(0.5, 1.0)
     worst = -math.inf
-    for _ in range(50):
-        coeffs = rng.standard_normal(9) / np.array([math.factorial(k) for k in range(9)])
-        f = lambda t, c=coeffs: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c)
-        series = basis.project(f, 1.0, 8, rule)
-        kf = gaussop.apply_K_series(series)
+    for f in _random_polynomials(2, 50, 8):
+        kf = gaussop.apply_K_series(basis.project(f, 1.0, 8, rule))
         norm_kf = math.sqrt(max(basis.inner_product(kf, kf, 1.0, rule), 0.0))
         norm_f = math.sqrt(max(basis.inner_product(f, f, 0.5, rule), 0.0))
         worst = max(worst, norm_kf - bound * norm_f)
-    return {"name": "normbound", "max_error": float(worst), "tolerance": 1e-9, "passed": bool(worst <= 1e-9)}
+    return worst
 
 
-def _suite_conservation(rule) -> dict:
+def _suite_conservation(rule) -> float:
     phi, _ = gaussop.periodic_solution(1, +1)
     lam = 2.0 * math.sqrt(math.pi) * complex(1.0, 1.0)
     a = basis.project(phi, 1.0, 8, rule).coeffs
     b = basis.project(phi, 0.5, 8, rule).coeffs
-    scale = np.maximum(abs(lam) ** np.arange(9), 1.0)
-    worst = float(np.max(np.abs(a - b) / scale))
-    return {"name": "conservation", "max_error": float(worst), "tolerance": 1e-8, "passed": bool(worst < 1e-8)}
+    return float(np.max(np.abs(a - b) / np.maximum(abs(lam) ** np.arange(9), 1.0)))
 
 
-_SUITES = {
-    "eigen": _suite_eigen,
-    "parseval": _suite_parseval,
-    "adjoint": _suite_adjoint,
-    "exact": _suite_exact,
-    "normbound": _suite_normbound,
-    "conservation": _suite_conservation,
+# name -> (max error of the suite on the Gauss-Hermite rule, tolerance it must stay below)
+SUITES = {
+    "eigen": (_suite_eigen, 1e-8),
+    "parseval": (_suite_parseval, 1e-8),
+    "adjoint": (_suite_adjoint, 1e-8),
+    "exact": (_suite_exact, 1e-8),
+    "normbound": (_suite_normbound, 1e-9),
+    "conservation": (_suite_conservation, 1e-8),
 }
 
 
 def cmd_verify(args) -> int:
-    names = list(_SUITES) if args.only is None else args.only.split(",")
-    unknown = [n for n in names if n not in _SUITES]
+    names = list(SUITES) if args.only is None else args.only.split(",")
+    unknown = [n for n in names if n not in SUITES]
     if unknown:
         print(f"unknown suite(s): {','.join(unknown)}", file=sys.stderr)
         return 2
-    informational = args.quadrature != 96
-    rule = basis.gauss_hermite_rule(args.quadrature)
-    results = [_SUITES[n](rule) for n in names]
-    all_passed = bool(all(r["passed"] for r in results))
-    report = {
-        "quadrature": args.quadrature,
-        "informational": informational,
-        "suites": results,
-        "passed": all_passed,
-    }
-    for r in results:
-        state = "PASS" if r["passed"] else ("DEGRADED" if informational else "FAIL")
-        print(f"suite {r['name']}: {state} (max_error={r['max_error']:.3e}, tolerance={r['tolerance']:.1e})")
+    rule = basis.gauss_hermite_rule(QUADRATURE)
+    results = []
+    for name in names:
+        error_fn, tol = SUITES[name]
+        err = float(error_fn(rule))
+        results.append({"name": name, "max_error": err, "tolerance": tol, "passed": err < tol})
+        print(f"suite {name}: {'PASS' if err < tol else 'FAIL'} (max_error={err:.3e}, tolerance={tol:.1e})")
+    passed = all(r["passed"] for r in results)
     if args.out:
-        _write_json(args.out, report)
+        _write_json(args.out, {"quadrature": QUADRATURE, "suites": results, "passed": passed})
         print(f"wrote {_outpath(args.out)}")
-    if informational:
-        return 0
-    return 0 if all_passed else 1
+    return 0 if passed else 1
 
 
 def _add_grid_options(p, tmin=-3.0, tmax=3.0, step=0.05):
@@ -387,6 +330,11 @@ def _add_function_options(p):
     p.add_argument("--sign", type=int, default=1, choices=[1, -1], help="branch of the periodic solution")
 
 
+def _add_csv_output(p, default: str):
+    p.add_argument("--out", default=default)
+    p.add_argument("--gnuplot", action="store_true", help="also write OUT.gp, plotting every column against the first")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-string",
@@ -398,21 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["H", "V"], default="H")
     p.add_argument("--n", type=int, required=True)
     _add_grid_options(p)
-    p.add_argument("--out", default="hermite.csv")
-    p.add_argument("--gnuplot", action="store_true")
+    _add_csv_output(p, "hermite.csv")
     p.set_defaults(func_cmd=cmd_hermite)
 
     p = sub.add_parser("apply-k", help="apply the Gaussian convolution operator to a function")
     _add_function_options(p)
     _add_grid_options(p)
-    p.add_argument("--quadrature", type=int, default=96)
-    p.add_argument("--out", default="apply_k.csv")
-    p.add_argument("--gnuplot", action="store_true")
+    _add_csv_output(p, "apply_k.csv")
     p.set_defaults(func_cmd=cmd_apply_k)
 
     p = sub.add_parser("solve", help="run the fixed-point solver or print the p=2 branch table")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--approx", type=int, default=None, help="print the closed-form truncation table instead of iterating")
+    p.add_argument("--approx", type=int, choices=[3], default=None, help="print the closed-form truncation table instead of iterating")
     p.add_argument("--init", choices=["erf", "one"], default="erf")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=500)
@@ -428,17 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-sq", type=float, default=1.1, dest="alpha_sq")
     p.add_argument("--branch", choices=["plus", "minus"], default="plus")
     _add_grid_options(p, tmin=-5.0, tmax=5.0)
-    p.add_argument("--out", default="bvp.csv")
-    p.add_argument("--gnuplot", action="store_true")
+    _add_csv_output(p, "bvp.csv")
     p.set_defaults(func_cmd=cmd_bvp)
 
     p = sub.add_parser("interp", help="sample the heat-flow interpolant u(x, .)")
     _add_function_options(p)
     p.add_argument("--x", type=float, required=True)
     _add_grid_options(p)
-    p.add_argument("--quadrature", type=int, default=96)
-    p.add_argument("--out", default="interp.csv")
-    p.add_argument("--gnuplot", action="store_true")
+    _add_csv_output(p, "interp.csv")
     p.set_defaults(func_cmd=cmd_interp)
 
     p = sub.add_parser("branch", help="branching roots of a multiple zero and tracked locations")
@@ -448,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func_cmd=cmd_branch)
 
     p = sub.add_parser("verify", help="run the numerical invariant suites")
-    p.add_argument("--only", default=None, help="comma-separated subset of suites")
-    p.add_argument("--quadrature", type=int, default=96)
+    p.add_argument("--only", default=None, help=f"comma-separated subset of the suites {','.join(SUITES)}")
     p.add_argument("--out", default=None)
     p.set_defaults(func_cmd=cmd_verify)
     return parser

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ class TestVerify:
         assert out.count("PASS") == 6
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["passed"] is True
-        assert not report["informational"]
+        assert report["quadrature"] == cli.QUADRATURE == 96
+        assert "informational" not in report
+        assert [s["name"] for s in report["suites"]] == list(cli.SUITES)
 
     def test_subset(self, capsys):
         code, out, _ = run(["verify", "--only", "eigen,parseval"], capsys)
@@ -33,18 +37,38 @@ class TestVerify:
             cli.main(["--threads", "1", "verify"])
         assert exc.value.code == 2
 
+    def test_only_help_lists_every_suite(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert ",".join(cli.SUITES) in " ".join(capsys.readouterr().out.split())
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(["verify", "--only", "nonsense"], capsys)
         assert code == 2
         assert "unknown suite" in err
 
-    def test_coarse_quadrature_is_informational(self, capsys, tmp_path):
-        code, out, _ = run(
-            ["verify", "--quadrature", "8", "--out", str(tmp_path / "coarse.json")], capsys
+    def test_failing_suite_exits_one(self, capsys, tmp_path, monkeypatch):
+        _, tol = cli.SUITES["parseval"]
+        monkeypatch.setitem(cli.SUITES, "parseval", (lambda rule: 1.0, tol))
+        code, out, _ = run(["verify", "--out", str(tmp_path / "verify.json")], capsys)
+        assert code == 1
+        assert "suite parseval: FAIL (max_error=1.000e+00" in out
+        assert out.count("PASS") == 5
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["passed"] is False
+        assert [s["name"] for s in report["suites"] if not s["passed"]] == ["parseval"]
+
+    def test_suites_match_the_benchmark_check(self):
+        # perfbench/workloads.py checks every default verify run against its
+        # own SUITES literal; read it without importing the benchmark
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+        literal = next(
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SUITES"]
         )
-        assert code == 0  # informational exit even though accuracy degrades
-        report = json.loads((tmp_path / "coarse.json").read_text())
-        assert report["informational"] is True
+        assert set(cli.SUITES) == ast.literal_eval(literal), (
+            "a new default verify suite first needs a benchmark change that lets workloads.SUITES read cli.SUITES"
+        )
 
 
 class TestSolveCommand:
@@ -299,6 +323,17 @@ class TestSmallCommands:
         script = (tmp_path / "h.csv.gp").read_text()
         assert "plot" in script
 
+    def test_gnuplot_plots_every_column_against_the_first(self, capsys, tmp_path, monkeypatch):
+        # a relative output directory holds the script next to its CSV
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTDIR_ENV, "out")
+        code, _, _ = run(["apply-k", "--func", "erf", "--gnuplot"], capsys)
+        assert code == 0
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["apply_k.csv", "apply_k.csv.gp"]
+        assert (tmp_path / "out" / "apply_k.csv.gp").read_text().splitlines()[-1] == (
+            "plot 'apply_k.csv' using 1:2 with lines, 'apply_k.csv' using 1:3 with lines"
+        )
+
 
 class TestOptionUsageErrors:
     @pytest.mark.parametrize(
@@ -315,6 +350,10 @@ class TestOptionUsageErrors:
             (["branch", "--n", "2", "--eps", "0"], "--eps must be in (0, 0.5], got 0.0"),
             (["branch", "--n", "2", "--eps", "0.7"], "--eps must be in (0, 0.5], got 0.7"),
             (["solve", "--p", "3", "--quadrature", "96"], "unrecognized arguments: --quadrature 96"),
+            (["verify", "--quadrature", "8"], "unrecognized arguments: --quadrature 8"),
+            (["apply-k", "--quadrature", "8"], "unrecognized arguments: --quadrature 8"),
+            (["interp", "--x", "0.5", "--quadrature", "8"], "unrecognized arguments: --quadrature 8"),
+            (["solve", "--p", "2", "--approx", "4"], "argument --approx: invalid choice: 4"),
             (["solve", "--p", "3", "--damping", "0.5"], "unrecognized arguments: --damping 0.5"),
             (["solve", "--p", "3", "--max-iter", "0"], "--max-iter must be at least 1, got 0"),
             (["interp", "--x", "nan"], "--x must be finite and non-negative, got nan"),
@@ -322,7 +361,8 @@ class TestOptionUsageErrors:
         ],
         ids=["hermite-zero-step", "solve-zero-step", "negative-step", "nan-step",
              "reversed-range", "infinite-tmax", "negative-alpha-sq", "alpha-sq-one",
-             "zero-eps", "eps-above-half", "solve-quadrature-removed", "solve-damping-removed",
+             "zero-eps", "eps-above-half", "solve-quadrature-removed", "verify-quadrature-removed",
+             "apply-k-quadrature-removed", "interp-quadrature-removed", "approx-not-three", "solve-damping-removed",
              "max-iter-zero", "interp-nan-x", "interp-inf-x"],
     )
     def test_exits_two_naming_the_option(self, argv, message, capsys, tmp_path, monkeypatch):
