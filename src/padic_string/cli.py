@@ -50,11 +50,19 @@ def _write_csv(path: str, header: list[str], rows, gnuplot: bool) -> str:
     return path
 
 
+class _NonFiniteReport(ValueError):
+    """A report holding NaN or Infinity, which JSON cannot state: a numerical failure, exit 1."""
+
+
 def _write_json(path: str, obj) -> str:
+    """Write obj as JSON; a non-finite value raises _NonFiniteReport and leaves no file."""
     path = _outpath(path)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise _NonFiniteReport(f"{path} not written: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -159,6 +167,8 @@ def cmd_solve(args) -> int:
         "midpoint_residual": solver.residual(result.phi, args.p, ts=0.5 * (ts[1:] + ts[:-1]), breaks=breaks),
         "conservation_laws": [float(v) for v in laws],
         "limits": dataclasses.asdict(solver.limit_diagnostics(result.grid, args.p)),
+        "panel_rule": {"width": solver._PANEL, "nodes_per_panel": solver._GL_NODES.size,
+                       "innermost_panel": solver._INNERMOST, "laws_window": solver._LAWS_WINDOW},
     }
     verify_path = _write_json(prefix + "_verify.json", report)
     print(f"wrote {sol_path}, {trace_path}, {verify_path}")
@@ -419,7 +429,7 @@ def main(argv=None) -> int:
         parser.error("--out is only for the --approx table; name the solver output with --out-prefix")
     try:
         return args.func_cmd(args)
-    except gaussop.EvaluationError as exc:
+    except (gaussop.EvaluationError, _NonFiniteReport) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

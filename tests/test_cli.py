@@ -58,6 +58,17 @@ class TestVerify:
         assert report["passed"] is False
         assert [s["name"] for s in report["suites"] if not s["passed"]] == ["parseval"]
 
+    def test_non_finite_result_exits_one_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # JSON cannot state NaN: a numerical failure (exit 1), not a usage error, and no truncated file
+        _, tol = cli.SUITES["eigen"]
+        monkeypatch.setitem(cli.SUITES, "eigen", (lambda rule: math.nan, tol))
+        out_path = tmp_path / "v.json"
+        code, out, err = run(["verify", "--only", "eigen", "--out", str(out_path)], capsys)
+        assert code == 1
+        assert "suite eigen: FAIL (max_error=nan" in out
+        assert err.startswith("numerical error: ") and str(out_path) in err
+        assert not out_path.exists()
+
     def test_suites_match_the_benchmark_check(self):
         # perfbench/workloads.py checks every default verify run against its
         # own SUITES literal; read it without importing the benchmark
@@ -129,6 +140,8 @@ class TestSolveCommand:
         assert report["max_residual"] < 1e-6
         assert report["limits"]["admissible"] is True
         assert max(report["conservation_laws"]) < 1e-4
+        assert report["panel_rule"] == {"width": 1.0, "nodes_per_panel": 16, "innermost_panel": 1e-08,
+                                        "laws_window": 18.5}
         with open(tmp_path / "sol_trace.jsonl") as fh:
             first = json.loads(next(fh))
         assert {"iteration", "change", "residual"} == set(first)
@@ -182,6 +195,7 @@ class TestSolveCommand:
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         with pytest.raises(ValueError):
             cli._write_json("bad.json", {"x": math.nan})
+        assert list(tmp_path.iterdir()) == []
 
     def test_constant_seed_is_the_exact_even_solution(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

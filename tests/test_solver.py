@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erf
@@ -594,6 +594,64 @@ def kinked_block(xi):
     return lambda t: np.stack([np.cos(xi * t), np.cbrt(np.sin(xi * t))], axis=-1)
 
 
+def panels(lo, hi, breaks=()):
+    """panel_rule's panels as (left, right, nodes, weights), in order."""
+    t, w = solver.panel_rule(lo, hi, breaks)
+    t, w = t.reshape(-1, 16), w.reshape(-1, 16)
+    mids, halves = t.mean(axis=1), 0.5 * w.sum(axis=1)
+    return mids - halves, mids + halves, t, w
+
+
+class TestPanelRule:
+    WINDOWS = [(-22.0, 22.0, []), (-8.0, 8.0, [0.0]), (-3.3, 4.1, [-1.2, 0.25, 0.7]), (0.0, 0.7, [0.3])]
+
+    @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
+    def test_no_panel_is_wider_than_the_widest(self, lo, hi, breaks):
+        left, right, _, _ = panels(lo, hi, breaks)
+        assert np.all(right - left <= solver._PANEL * (1 + 1e-12))
+        np.testing.assert_allclose([left[0], right[-1]], [lo, hi], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(left[1:], right[:-1], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
+    def test_weights_sum_to_the_window(self, lo, hi, breaks):
+        _, w = solver.panel_rule(lo, hi, breaks)
+        assert w.sum() == pytest.approx(hi - lo, rel=1e-14)
+
+    @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
+    def test_degree_31_is_exact_on_every_panel(self, lo, hi, breaks):
+        # sum_j w_j x_j^k over a panel, x the panel mapped to [-1, 1], is (b - a)/2 int x^k
+        left, right, t, w = panels(lo, hi, breaks)
+        half = 0.5 * (right - left)
+        x = (t - 0.5 * (left + right)[:, None]) / half[:, None]
+        k = np.arange(32)
+        got = np.einsum("pj,pjk->pk", w, x[:, :, None] ** k)
+        exact = half[:, None] * np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * half.max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.floats(-12.0, -1.0),
+        width=st.floats(2.0, 24.0),
+        fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    )
+    def test_every_inner_break_gets_the_innermost_panel_on_each_side(self, lo, width, fractions):
+        hi = lo + width
+        breaks = sorted(lo + f * width for f in fractions)
+        assume(all(b - a == 0 or b - a > 1e-6 for a, b in zip(breaks, breaks[1:])))
+        left, right, _, _ = panels(lo, hi, breaks)
+        innermost = np.isclose(right - left, solver._INNERMOST, rtol=1e-6, atol=0)
+        for b in breaks:
+            assert np.any(innermost & np.isclose(right, b, rtol=0, atol=1e-12))
+            assert np.any(innermost & np.isclose(left, b, rtol=0, atol=1e-12))
+
+    @pytest.mark.parametrize("b", [-9.0, -4.0, 4.0, 30.0])
+    def test_break_outside_the_window_adds_no_nodes(self, b):
+        t, w = solver.panel_rule(-4.0, 4.0, [b])
+        t0, w0 = solver.panel_rule(-4.0, 4.0)
+        np.testing.assert_array_equal(t, t0)
+        np.testing.assert_array_equal(w, w0)
+
+
 class TestBandedKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -606,6 +664,18 @@ class TestBandedKernel:
         got = solver.apply_K_panels(lambda t: np.cos(xi * t), ts, breaks)
         assert got.shape == ts.shape
         np.testing.assert_allclose(got, math.exp(-xi * xi / 4.0) * np.cos(xi * ts), rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ts=hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(-10.0, 10.0)),
+        breaks=st.lists(st.floats(-10.0, 10.0), max_size=3),
+        xi=st.sampled_from([8.0, 10.0, 12.0]),
+    )
+    def test_plane_wave_to_rounding_up_to_the_spectrum_cutoff(self, ts, breaks, xi):
+        # e^{-xi^2/4} falls below rounding past xi = 12; up to there the panel
+        # width must leave K cos(xi .) exact to rounding (width 2 misses by 3e-13 at xi = 8)
+        got = solver.apply_K_panels(lambda t: np.cos(xi * t), ts, breaks, 12.0)
+        np.testing.assert_allclose(got, math.exp(-xi * xi / 4.0) * np.cos(xi * ts), rtol=0, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
