@@ -5,7 +5,6 @@ from .basis import (
     GridFunction,
     HermiteSeries,
     QuadratureRule,
-    WeightParam,
     convert_a_to_b,
     convert_b_to_a,
     eval_H,
@@ -15,7 +14,7 @@ from .basis import (
     parseval_residual,
     project,
 )
-from .bvp import ErfAnsatz, local_zero_analysis, odd_p_ansatz, solve_bvp_3approx
+from .bvp import ErfAnsatz, local_zero_analysis, solve_bvp_3approx
 from .gaussop import (
     EigenfunctionSpec,
     TaylorSeries,

@@ -23,9 +23,7 @@ monomial/duality tables, the conversions, and Parseval diagnostics.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "SQRT_PI",
-    "WeightParam",
     "QuadratureRule",
     "HermiteSeries",
     "GridFunction",
@@ -59,20 +56,7 @@ _MAX_DEGREE = 200
 _MAX_QUAD_ORDER = 512
 
 
-@dataclass(frozen=True)
-class WeightParam:
-    """Exponent a of the Gaussian probability weight dmu_a."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"weight exponent must be positive, got {self.alpha}")
-
-
 def _as_alpha(w) -> float:
-    if isinstance(w, WeightParam):
-        return w.alpha
     alpha = float(w)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"weight exponent must be positive, got {alpha}")
@@ -247,24 +231,6 @@ class GridFunction:
     def __call__(self, t):
         return np.interp(np.asarray(t, dtype=float), self.nodes, self.values)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.nodes, self.values):
-                writer.writerow([f"{t:.15g}", f"{v:.15g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["t", "value"]:
-                raise ValueError(f"expected header 't,value', got {header}")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        nodes, values = zip(*rows)
-        return cls(nodes=np.array(nodes), values=np.array(values))
-
 
 @dataclass(frozen=True)
 class HermiteSeries:
@@ -297,25 +263,13 @@ class HermiteSeries:
         out = (self.coeffs / self.norms()) @ table
         return out.reshape(np.shape(t)) if np.shape(t) else float(out[0])
 
-    def to_json(self) -> str:
-        return json.dumps({"basis": self.basis, "coeffs": list(self.coeffs)}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HermiteSeries":
-        obj = json.loads(text)
-        return cls(basis=obj["basis"], coeffs=np.asarray(obj["coeffs"], dtype=float))
-
-
-def _as_callable(f):
-    return f if callable(f) else GridFunction(*f)
-
 
 def inner_product(f, g, w, rule: QuadratureRule) -> float:
     """(f, g)_a by Gauss-Hermite quadrature after the substitution t = u/sqrt(a)."""
     alpha = _as_alpha(w)
     t = rule.nodes / math.sqrt(alpha)
-    fv = np.asarray(_as_callable(f)(t), dtype=float)
-    gv = np.asarray(_as_callable(g)(t), dtype=float)
+    fv = np.asarray(f(t), dtype=float)
+    gv = np.asarray(g(t), dtype=float)
     return float(rule.weights @ (fv * gv)) / SQRT_PI
 
 
@@ -336,7 +290,7 @@ def project(f, w, N: int, rule: QuadratureRule | None = None) -> HermiteSeries:
     if rule is None:
         rule = default_projection_rule(N)
     t = rule.nodes / math.sqrt(alpha)
-    fv = np.asarray(_as_callable(f)(t), dtype=float)
+    fv = np.asarray(f(t), dtype=float)
     table = hermite_table(N, t) if basis == "H" else modified_hermite_table(N, t)
     coeffs = table @ (rule.weights * fv) / SQRT_PI
     return HermiteSeries(basis=basis, coeffs=coeffs)

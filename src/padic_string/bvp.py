@@ -9,10 +9,10 @@ with alpha > 1 so the correction decays.  Its Hermite coefficients a_n are
 an explicit triangular function of the c_m (ansatz_to_hermite), so matching
 any four target coefficients a_0..a_3 inverts in closed form
 (solve_bvp_3approx); the default targets are the mixed branch of the
-truncated p=2 coefficient system.  The odd-power analogue replaces the base
-by erf(t) alone.  local_zero_analysis measures the fractional-power law of
-an odd solution at the zero it locates: the slope a_1 from the weighted
-first moment and the exponent 1/(2q+1) from a log-log fit.
+truncated p=2 coefficient system.  local_zero_analysis measures the
+fractional-power law of an odd solution at the zero it locates: the slope
+a_1 from the weighted first moment and the exponent 1/(2q+1) from a log-log
+fit.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ __all__ = [
     "branch_c_targets",
     "solve_bvp_3approx",
     "gaussian_part_monomials",
-    "odd_p_ansatz",
     "local_zero_analysis",
 ]
 
@@ -133,19 +132,6 @@ def gaussian_part_monomials(az: ErfAnsatz) -> np.ndarray:
         for k, hk in enumerate(hm):
             out[k] += cm * hk * az.alpha**k
     return out
-
-
-def odd_p_ansatz(alpha: float, c) -> object:
-    """Odd-power boundary candidate erf(t) + e^{-(alpha^2-1)t^2} sum c_m H_m(alpha t)."""
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    damped = ErfAnsatz(alpha=alpha, c=np.atleast_1d(np.asarray(c, dtype=float)))
-
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return _erf(t) + damped.correction(t)
-
-    return phi
 
 
 @dataclass(frozen=True)

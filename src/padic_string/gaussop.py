@@ -15,7 +15,6 @@ factorial-weighted blocks.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .basis import (
     SQRT_PI,
     HermiteSeries,
     QuadratureRule,
-    _conversion_matrix,
     gauss_hermite_rule,  # noqa: F401 -- unused here; perfbench/test_perfbench.py expects this binding
 )
 
@@ -36,13 +34,11 @@ __all__ = [
     "gauss_moment",
     "apply_K_point",
     "apply_K_series",
-    "K_adjoint_on_H",
     "norm_bound",
     "entire_bound",
     "eigenfunction",
     "periodic_solution",
     "linear_block_residual",
-    "linear_chain_residuals",
 ]
 
 
@@ -77,14 +73,6 @@ class TaylorSeries:
         mono = self.coeffs / fact
         out = np.polynomial.polynomial.polyval(t, mono)
         return out if out.shape else float(out)
-
-    def to_json(self) -> str:
-        # convention: entry n multiplies t^n / n!
-        return json.dumps({"taylor": list(self.coeffs)}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TaylorSeries":
-        return cls(coeffs=np.asarray(json.loads(text)["taylor"], dtype=float))
 
 
 def gauss_moment(f, t, rule: QuadratureRule, x: float = 1.0, k: int = 0):
@@ -122,15 +110,6 @@ def apply_K_series(s: HermiteSeries) -> TaylorSeries:
     if s.basis != "H":
         raise ValueError("apply_K_series expects an H-basis series (weight 1)")
     return TaylorSeries(coeffs=s.coeffs.copy())
-
-
-def K_adjoint_on_H(n: int) -> HermiteSeries:
-    """K* H_n = V_n, returned as a V-basis series (single coefficient n! at index n)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = math.factorial(n)
-    return HermiteSeries(basis="V", coeffs=coeffs)
 
 
 def norm_bound(alpha: float, beta: float) -> float:
@@ -247,16 +226,3 @@ def linear_block_residual(s: HermiteSeries, kappa: int) -> list[float]:
         k += 1
     return out
 
-
-def linear_chain_residuals(s: HermiteSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the parent triangular systems behind the blocks.
-
-    Entry n of the first array is sum_{m=n+2, m=n mod 2} of
-    (-1)^((m-n)/2) 2^(n-m) / ((m-n)/2)! a_m (the alternating chain), and of
-    the second the same sum without the sign; both vanish, for every n, on
-    coefficients of a solution of K phi = phi.
-    """
-    if s.basis != "H":
-        raise ValueError("chain residuals are defined for H-basis coefficients")
-    a = s.coeffs
-    return tuple(_conversion_matrix(a.size, a.size, signed) @ a - a for signed in (True, False))

@@ -7,8 +7,8 @@ Poisson formula
     u(x, t) = (pi x)^(-1/2) int phi(tau) exp(-(t-tau)^2 / x) dtau,
 
 which after tau = t - sqrt(x) v is a plain Gauss-Hermite sum.  The module
-evaluates u and u_t, checks the energy and mean conservation laws that any
-boundary-value solution must satisfy, provides the exact polynomial caloric
+evaluates u and u_t, checks the energy law that any boundary-value
+solution must satisfy, provides the exact polynomial caloric
 solutions whose zeros branch out of a multiple zero of u(1, .), locates and
 classifies zeros (multiplicity by a dyadic log-log fit, jumps by saltus
 scan), and evaluates the a-priori kernel bound for even powers.
@@ -23,19 +23,15 @@ import numpy as np
 
 from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
 from .gaussop import gauss_moment
-from .solver import (_admissible_limits, _bisect, _sign_brackets, _zero_exponent, apply_K_panels,
-                     detect_sign_changes, panel_rule)
+from .solver import _bisect, _sign_brackets, _zero_exponent, apply_K_panels, detect_sign_changes, panel_rule
 
 __all__ = [
-    "BranchingPolynomial",
     "ZeroReport",
     "TrackedZeros",
-    "MeanConservationReport",
     "poisson_eval",
     "poisson_dt",
     "caloric_residual",
     "energy_identity_residual",
-    "mean_conservation_residual",
     "heat_polynomial",
     "heat_polynomial_interpolant",
     "branching_polynomial",
@@ -113,48 +109,6 @@ def energy_identity_residual(phi, p: int, domain: tuple[float, float] = (-10.0, 
     return abs(float(wt @ kphi**2 - wg @ pv ** (2 * p)))
 
 
-@dataclass(frozen=True)
-class MeanConservationReport:
-    """Windowed residuals of the mean conservation laws, with applicability gate."""
-
-    applicable: bool
-    interp_residual: float
-    mean_law_residual: float
-    x: float
-    window: tuple[float, float]
-
-
-_MEAN_WINDOW = (-10.0, 10.0)  # t-window of the mean conservation laws
-
-
-def mean_conservation_residual(phi, p: int, x: float, rule: QuadratureRule | None = None) -> MeanConservationReport:
-    """Residuals of int [u(x,t) - phi(t)] dt = 0 and int [phi - phi^p] dt = 0 on |t| <= 10.
-
-    Both laws presuppose that phi settles near its admissible limits at the
-    window ends; when it does not (distance > 0.05), the report is marked
-    not applicable and the residuals are NaN.  The report states the window.
-    """
-    if not 0 <= x < math.inf:
-        raise ValueError(f"heat time x must be finite and non-negative, got {x}")
-    if rule is None:
-        rule = gauss_hermite_rule(96)
-    a, b = _MEAN_WINDOW
-    admissible = _admissible_limits(p)
-    edge_left = float(np.mean(np.asarray(phi(np.linspace(a, a + 0.5, 8)), dtype=float)))
-    edge_right = float(np.mean(np.asarray(phi(np.linspace(b - 0.5, b, 8)), dtype=float)))
-    settled = all(
-        min(abs(edge - v) for v in admissible) <= 0.05 for edge in (edge_left, edge_right)
-    )
-    if not settled:
-        return MeanConservationReport(False, math.nan, math.nan, x, _MEAN_WINDOW)
-    ts = np.linspace(a, b, 2001)
-    pv = np.asarray(phi(ts), dtype=float)
-    uv = poisson_eval(phi, x, ts, rule)
-    interp_residual = abs(float(np.trapezoid(uv - pv, ts)))
-    mean_residual = abs(float(np.trapezoid(pv - pv**p, ts)))
-    return MeanConservationReport(True, interp_residual, mean_residual, x, _MEAN_WINDOW)
-
-
 def heat_polynomial(n: int, eps: float, t):
     """Exact caloric polynomial with u(1, t) = t^{2n} / (2n)!, evaluated at x = 1 - eps.
 
@@ -180,27 +134,15 @@ def heat_polynomial_interpolant(n: int):
     return lambda x, t: heat_polynomial(n, 1.0 - x, t)
 
 
-@dataclass(frozen=True)
-class BranchingPolynomial:
-    """Branching equation of a multiplicity-2n zero, in lambda^2 and in Lambda.
+def branching_polynomial(n: int) -> np.ndarray:
+    """Coefficients of sum_m (-1)^m Lambda^{n-m} / ((2n-2m)! m!) = 0, leading first.
 
-    Lambda_coeffs[m] multiplies Lambda^{n-m} with Lambda = lambda^2 (leading
-    coefficient first), so the same array also gives the coefficients of
-    lambda^{2n-2m}.
+    Entry m multiplies Lambda^{n-m} with Lambda = lambda^2, so the same
+    array also gives the coefficients of lambda^{2n-2m}.
     """
-
-    n: int
-    Lambda_coeffs: np.ndarray
-
-
-def branching_polynomial(n: int) -> BranchingPolynomial:
-    """Coefficients of sum_m (-1)^m Lambda^{n-m} / ((2n-2m)! m!) = 0."""
     if not 1 <= n <= 20:
         raise ValueError("n must be in 1..20")
-    coeffs = np.array(
-        [(-1.0) ** m / (math.factorial(2 * n - 2 * m) * math.factorial(m)) for m in range(n + 1)]
-    )
-    return BranchingPolynomial(n=n, Lambda_coeffs=coeffs)
+    return np.array([(-1.0) ** m / (math.factorial(2 * n - 2 * m) * math.factorial(m)) for m in range(n + 1)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,7 +159,7 @@ def branching_roots(n: int) -> np.ndarray:
     else indicates a bug and raises AssertionError.
     """
     poly = branching_polynomial(n)
-    raw = np.roots(poly.Lambda_coeffs)
+    raw = np.roots(poly)
     scale = np.max(np.abs(raw))
     if np.any(np.abs(raw.imag) > 1e-8 * scale):
         raise AssertionError(f"complex branching root beyond tolerance for n={n}: {raw}")
@@ -225,10 +167,10 @@ def branching_roots(n: int) -> np.ndarray:
     if np.any(lam <= 0):
         raise AssertionError(f"non-positive branching root for n={n}: {lam}")
     edges = np.concatenate([[0.0], 0.5 * (lam[1:] + lam[:-1]), [2.0 * lam[-1]]])
-    pv = np.sign(np.polyval(poly.Lambda_coeffs, edges))
+    pv = np.sign(np.polyval(poly, edges))
     if np.any(pv[1:] * pv[:-1] >= 0):
         raise AssertionError(f"branching root estimates do not bracket the roots for n={n}: {lam}")
-    lam = _bisect(lambda L: np.polyval(poly.Lambda_coeffs, L), edges[:-1], edges[1:])
+    lam = _bisect(lambda L: np.polyval(poly, L), edges[:-1], edges[1:])
     if np.any(np.diff(lam) <= 0):
         raise AssertionError(f"branching roots not distinct for n={n}: {lam}")
     roots = np.sqrt(lam)

@@ -33,7 +33,6 @@ from .basis import (
     SQRT_PI,
     GridFunction,
     HermiteSeries,
-    _as_callable,
     _conversion_matrix,
     gauss_hermite_rule,  # noqa: F401 -- unused here; perfbench/test_perfbench.py expects this binding
     hermite_table,
@@ -51,7 +50,6 @@ __all__ = [
     "solve_3approx",
     "newton_solve",
     "power_interpolant",
-    "sign_template_from_zeros",
     "detect_sign_changes",
     "panel_rule",
     "apply_K_panels",
@@ -84,14 +82,17 @@ def panel_rule(lo: float, hi: float, breaks=()) -> tuple[np.ndarray, np.ndarray]
     panels halve down to _INNERMOST = 1e-8 on each side, so integrands with
     an algebraic kink (a fractional-power zero of a candidate solution) are
     integrated to near machine accuracy instead of the slow algebraic rate
-    a smooth-weight rule would give.  A break outside (lo, hi) adds nothing.
+    a smooth-weight rule would give.  A break outside (lo, hi) adds nothing;
+    an inner plain edge within _INNERMOST of a break gives way to the break.
     """
     if not hi > lo:
         raise ValueError("empty integration window")
-    edges = set(np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / _PANEL)) + 1)))
-    for b in breaks:
-        if not lo < b < hi:
-            continue
+    plain = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / _PANEL)) + 1))
+    inner = [b for b in breaks if lo < b < hi]
+    # an inner plain edge within _INNERMOST of a break, but not on it, would cut a sliver panel
+    edges = {plain[0], plain[-1]}
+    edges.update(e for e in plain[1:-1] if all(e == b or abs(e - b) >= _INNERMOST for b in inner))
+    for b in inner:
         step = _INNERMOST
         while step < _PANEL:
             for edge in (b - step, b + step):
@@ -528,13 +529,6 @@ def newton_solve(system: TruncatedSystem, init, cfg: SolverConfig) -> NewtonResu
     return NewtonResult(HermiteSeries("H", a), "diverged", cfg.max_iter, rn, cond, trace)
 
 
-def _reject_nonfinite_seed(nodes, values) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        node = float(nodes[bad[0]])
-        raise EvaluationError(f"non-finite seed value at t={node}", node)
-
-
 def _equation_power(v, p: int):
     """phi^p of the equation: the signed power v |v|^(p-1), and its modulus for even p."""
     power = v * np.abs(v) ** (p - 1)
@@ -543,17 +537,6 @@ def _equation_power(v, p: int):
 
 def _default_even_template(t):
     return np.where(np.asarray(t, dtype=float) >= 0, 1.0, -1.0)
-
-
-def sign_template_from_zeros(zeros) -> object:
-    """Alternating sign pattern that is +1 to the right of all given zeros."""
-    zs = np.sort(np.asarray(zeros, dtype=float))
-
-    def template(t):
-        above = zs.size - np.searchsorted(zs, np.asarray(t, dtype=float), side="left")
-        return (-1.0) ** above
-
-    return template
 
 
 # M_{i-1} + 4 M_i + M_{i+1} = b_i on the whole line is solved by M = g * b with
@@ -672,7 +655,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     For odd p the root keeps the sign of K phi; for even p the sign comes
     from the template (default sgn(t)) and K phi must stay >= -tol, since a
     solution's power is non-negative; a violation stops the run with status
-    'infeasible'.  phi0 is a GridFunction or a callable; a callable is the
+    'infeasible'.  phi0 is a callable (a GridFunction is one) and is the
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel graded at the iterate's sign changes, built once per
     break set and rebuilt only when a break appears, vanishes or moves by
@@ -696,9 +679,8 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     records its 'change', the max change of phi the step would make
     (None on an infeasible step, which takes none).
     The change of phi, which stalls at eps^(1/p) at a zero on a grid node,
-    decides only 'diverged'.  A seed with a non-finite value (at a
-    GridFunction node, or at a grid or panel node for a callable) raises
-    EvaluationError naming the first such node.
+    decides only 'diverged'.  A seed with a non-finite value at a grid or
+    panel node raises EvaluationError naming the first such node.
     """
     if cfg.p < 2:
         raise ValueError("fixed-point iteration needs p >= 2")
@@ -709,16 +691,12 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     n_half = int(round(L / cfg.grid_step))
     ts = np.linspace(-L, L, 2 * n_half + 1)
 
-    if isinstance(phi0, GridFunction):
-        _reject_nonfinite_seed(phi0.nodes, phi0.values)
-        vals = np.interp(ts, phi0.nodes, phi0.values)
-        evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
-    elif callable(phi0):
-        vals = np.asarray(phi0(ts), dtype=float)
-        _reject_nonfinite_seed(ts, vals)
-        evaluate = phi0
-    else:
-        raise TypeError("phi0 must be a GridFunction or a callable")
+    vals = np.asarray(phi0(ts), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        node = float(ts[bad[0]])
+        raise EvaluationError(f"non-finite seed value at t={node}", node)
+    evaluate = phi0
 
     trace = []
     status = "max_iter"
@@ -786,14 +764,13 @@ def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> floa
     growth.  The evaluator of a fixed_point_iterate result carries its
     run's kernel, which is reused on the run's grid and breaks.
     """
-    f = _as_callable(phi)
     if ts is None:
-        ts = f.nodes if isinstance(f, GridFunction) else np.arange(-2.0, 2.0 + 0.025, 0.05)
+        ts = phi.nodes if isinstance(phi, GridFunction) else np.arange(-2.0, 2.0 + 0.025, 0.05)
     ts = np.asarray(ts, dtype=float)
     if breaks is None:
-        breaks = detect_sign_changes(f)
-    A = apply_K_panels(f, ts, breaks, halfwidth)
-    pv = np.asarray(f(ts), dtype=float)
+        breaks = detect_sign_changes(phi)
+    A = apply_K_panels(phi, ts, breaks, halfwidth)
+    pv = np.asarray(phi(ts), dtype=float)
     return float(np.max(np.abs(A - _equation_power(pv, p))))
 
 
@@ -809,11 +786,10 @@ def conservation_laws_check(phi, p: int, N: int, breaks=None) -> np.ndarray:
     |t| = 13 the weight-1 integrand is below e^{-169}, too small to change
     a rounded sum.
     """
-    f = _as_callable(phi)
     if breaks is None:
-        breaks = detect_sign_changes(f)
+        breaks = detect_sign_changes(phi)
     t, w = panel_rule(-_LAWS_WINDOW, _LAWS_WINDOW, breaks)
-    fv = np.asarray(f(t), dtype=float)
+    fv = np.asarray(phi(t), dtype=float)
     # the equation's power, |phi|^p for even p, as the modulus of the weighted
     # signed power: the same product and rounding as for odd p
     weighted = w * np.exp(-t * t) * fv * np.abs(fv) ** (p - 1)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -282,18 +281,18 @@ class TestInnerProducts:
         assert basis.inner_product(f, f, 1.0, rule96) == pytest.approx(2.75, abs=1e-12)
         assert basis.inner_product(f, f, 2.0, rule96) == pytest.approx(3.1875, abs=1e-12)
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            basis.WeightParam(0.0)
-        with pytest.raises(ValueError):
-            basis.WeightParam(-1.0)
-        assert basis.WeightParam(0.5).alpha == 0.5
+    def test_weight_validation(self, rule64):
+        for w in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="weight exponent"):
+                basis.inner_product(const_one, const_one, w, rule64)
+            with pytest.raises(ValueError, match="weight exponent"):
+                basis.project(const_one, w, 4, rule64)
 
     def test_grid_function_input(self, rule64):
         # sampled data is accepted wherever a callable is
         ts = np.linspace(-14, 14, 2801)
         g = basis.GridFunction(ts, basis.eval_H(2, ts))
-        value = basis.inner_product(g, hermite_fn(2), basis.WeightParam(1.0), rule64)
+        value = basis.inner_product(g, hermite_fn(2), 1.0, rule64)
         assert value == pytest.approx(8.0, abs=1e-3)  # linear-interp limited
 
 
@@ -409,22 +408,6 @@ class TestParseval:
 
 
 class TestSerialization:
-    def test_series_json_round_trip(self):
-        series = basis.HermiteSeries("V", [1.0, -2.5, 0.25])
-        text = series.to_json()
-        assert json.loads(text) == {"basis": "V", "coeffs": [1.0, -2.5, 0.25]}
-        back = basis.HermiteSeries.from_json(text)
-        assert back.basis == "V"
-        assert back.coeffs == pytest.approx(series.coeffs)
-
-    def test_grid_csv_round_trip(self, tmp_path):
-        g = basis.GridFunction(np.linspace(-1, 1, 11), np.sin(np.linspace(-1, 1, 11)))
-        path = tmp_path / "grid.csv"
-        g.to_csv(path)
-        back = basis.GridFunction.from_csv(path)
-        assert back.nodes == pytest.approx(g.nodes, abs=1e-12)
-        assert back.values == pytest.approx(g.values, abs=1e-12)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             basis.GridFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))

@@ -176,19 +176,6 @@ class TestAssembledSolution:
 
 
 class TestOddAnsatz:
-    def test_bare_erf(self):
-        phi = bvp.odd_p_ansatz(ALPHA, [0.0])
-        ts = np.linspace(-3, 3, 13)
-        assert phi(ts) == pytest.approx(erf(ts))
-        assert phi(8.0) == pytest.approx(1.0, abs=1e-6)
-        assert phi(-8.0) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_odd_correction_keeps_parity(self):
-        phi = bvp.odd_p_ansatz(ALPHA, [0.0, 0.1, 0.0, -0.02])
-        ts = np.linspace(0.1, 4.0, 17)
-        assert phi(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert np.max(np.abs(phi(ts) + phi(-ts))) < 1e-12
-
     def test_erf_seed_residual_is_order_one(self):
         value = solver.residual(lambda t: erf(np.asarray(t, dtype=float)), 3)
         assert 0.1 < value < 0.5

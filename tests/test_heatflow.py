@@ -45,9 +45,8 @@ class TestPoisson:
         [
             lambda x: heatflow.poisson_eval(const_one, x, 0.0),
             lambda x: heatflow.poisson_dt(const_one, x, 0.0),
-            lambda x: heatflow.mean_conservation_residual(const_one, 3, x),
         ],
-        ids=["poisson_eval", "poisson_dt", "mean_conservation_residual"],
+        ids=["poisson_eval", "poisson_dt"],
     )
     def test_non_finite_time_rejected(self, call, x):
         with pytest.raises(ValueError, match="finite"):
@@ -182,24 +181,6 @@ class TestConservationLaws:
             heatflow.energy_identity_residual(phi, 3, domain=(-8, 8))
         assert cut < err.value.node <= 20.0
 
-    def test_mean_conservation_trivial(self):
-        report = heatflow.mean_conservation_residual(const_one, 2, 0.5)
-        assert report.applicable
-        assert report.interp_residual == pytest.approx(0.0, abs=1e-12)
-        assert report.mean_law_residual == pytest.approx(0.0, abs=1e-12)
-
-    def test_mean_conservation_gate_rejects_growing_example(self):
-        phi, _ = solver.exact_gaussian_solution(2)
-        report = heatflow.mean_conservation_residual(phi, 2, 0.5)
-        assert not report.applicable
-        assert math.isnan(report.interp_residual)
-
-    def test_mean_conservation_converged_solution(self, solved_p3):
-        report = heatflow.mean_conservation_residual(solved_p3.phi, 3, 0.5)
-        assert report.applicable
-        assert report.mean_law_residual < 1e-3
-        assert report.interp_residual < 1e-3
-
 
 class TestHeatPolynomial:
     def test_boundary_slice(self):
@@ -272,7 +253,7 @@ class TestBranchingRoots:
     def test_polynomial_in_lambda_squared(self):
         # n=2 polynomial should be proportional to Lambda^2 - 12 Lambda + 12
         poly = heatflow.branching_polynomial(2)
-        scaled = poly.Lambda_coeffs / poly.Lambda_coeffs[0]
+        scaled = poly / poly[0]
         assert scaled == pytest.approx([1.0, -12.0, 12.0])
 
     def test_out_of_range(self):

@@ -290,12 +290,6 @@ class TestPowerInterpolant:
         with pytest.raises(ValueError, match="one value per node"), np.errstate(over="ignore"):
             solver.power_interpolant(np.arange(5.0), values, 3)
 
-    def test_sign_template_from_zeros(self):
-        template = solver.sign_template_from_zeros([-1.0, 0.5])
-        assert template(2.0) == 1.0
-        assert template(0.0) == -1.0
-        assert template(-3.0) == 1.0
-
 
 class TestFixedPoint:
     def test_exact_solution_is_fixed_in_one_step(self):
@@ -396,6 +390,16 @@ class TestFixedPoint:
         with pytest.raises(gaussop.EvaluationError) as err:
             solver.fixed_point_iterate(solver.SolverConfig(p=3), seed)
         assert err.value.node == 0.0
+
+    def test_grid_function_seed_matches_the_callable_seed(self):
+        # a GridFunction is a callable seed: its linear interpolant is the first iterate
+        nodes = np.linspace(-10.0, 10.0, 401)
+        cfg = solver.SolverConfig(p=3, grid_step=0.025)
+        sampled = solver.fixed_point_iterate(cfg, basis.GridFunction(nodes, erf(nodes)))
+        smooth = centred_kink(3)
+        assert sampled.status == "converged"
+        assert sampled.iterations == smooth.iterations
+        np.testing.assert_allclose(sampled.grid.values**3, smooth.grid.values**3, rtol=0, atol=1e-12)
 
 
 class TestZeroLocator:
@@ -643,6 +647,13 @@ class TestPanelRule:
         for b in breaks:
             assert np.any(innermost & np.isclose(right, b, rtol=0, atol=1e-12))
             assert np.any(innermost & np.isclose(left, b, rtol=0, atol=1e-12))
+
+    @pytest.mark.parametrize("b", [0.3, 0.30000000001, 0.29999999999])
+    def test_a_break_near_a_plain_edge_cuts_no_sliver(self, b):
+        # the plain edge 0.3 gives way to a break within _INNERMOST of it
+        left, right, t, _ = panels(-0.3, 0.9, [b])
+        assert t.size == 864
+        assert np.min(right - left) == pytest.approx(solver._INNERMOST, rel=1e-6)
 
     @pytest.mark.parametrize("b", [-9.0, -4.0, 4.0, 30.0])
     def test_break_outside_the_window_adds_no_nodes(self, b):
