@@ -7,9 +7,10 @@ are assembled exactly (TruncatedSystem) and solved either in closed form
 for the four-unknown case (solve_3approx, which enumerates every branch of
 the truncated system) or by damped Newton iteration on the exact Jacobian
 (newton_solve).  For general p >= 2 a grid fixed-point iteration inverts
-the equation as phi <- p-th root of K phi, with Anderson mixing of K phi
-over the last few steps and a caller-supplied sign template in the even-p
-case where the root loses the sign.  The remaining functions verify
+the equation as phi <- p-th root of K phi, with Anderson mixing over the
+last few steps of the map preconditioned by K's plane-wave spectrum, and a
+caller-supplied sign template in the even-p case where the root loses the
+sign.  The remaining functions verify
 candidates: equation residual, the integral conservation laws
 (phi^p, H_n)_1 = (phi, V_n)_{1/2} and boundary-limit diagnostics.
 
@@ -73,6 +74,8 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 #   2       2.3e-15   3.1e-13   2.1e-11   1.3e-09
 _PANEL = 1.0
 _INNERMOST = 1e-8  # the innermost panel on each side of a break
+# the graded edges' offsets from a break: _INNERMOST, doubling while below _PANEL
+_GRADING = _INNERMOST * 2.0 ** np.arange(math.ceil(math.log2(_PANEL / _INNERMOST)))
 
 
 def panel_rule(lo: float, hi: float, breaks=()) -> tuple[np.ndarray, np.ndarray]:
@@ -83,24 +86,22 @@ def panel_rule(lo: float, hi: float, breaks=()) -> tuple[np.ndarray, np.ndarray]
     an algebraic kink (a fractional-power zero of a candidate solution) are
     integrated to near machine accuracy instead of the slow algebraic rate
     a smooth-weight rule would give.  A break outside (lo, hi) adds nothing;
-    an inner plain edge within _INNERMOST of a break gives way to the break.
+    an inner plain edge within _INNERMOST of a break gives way to the break,
+    and any edge within _INNERMOST of a window end gives way to that end, so
+    no panel is narrower than _INNERMOST (a window narrower than that aside).
     """
     if not hi > lo:
         raise ValueError("empty integration window")
     plain = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / _PANEL)) + 1))
-    inner = [b for b in breaks if lo < b < hi]
+    inner = np.array([b for b in breaks if lo < b < hi], dtype=float)
     # an inner plain edge within _INNERMOST of a break, but not on it, would cut a sliver panel
-    edges = {plain[0], plain[-1]}
-    edges.update(e for e in plain[1:-1] if all(e == b or abs(e - b) >= _INNERMOST for b in inner))
-    for b in inner:
-        step = _INNERMOST
-        while step < _PANEL:
-            for edge in (b - step, b + step):
-                if lo < edge < hi:
-                    edges.add(edge)
-            step *= 2.0
-        edges.add(b)
-    grid = np.array(sorted(edges))
+    gaps = np.abs(plain[1:-1, None] - inner)
+    kept = plain[1:-1][np.all((gaps == 0) | (gaps >= _INNERMOST), axis=1)]
+    graded = (inner[:, None] + np.concatenate([-_GRADING, _GRADING])).ravel()
+    edges = np.sort(np.concatenate([plain[[0, -1]], kept, graded[(lo < graded) & (graded < hi)], inner]))
+    # an edge within _INNERMOST inside a window end gives way to that end, the break included
+    near_end = np.minimum(edges - lo, hi - edges) < _INNERMOST
+    grid = edges[(np.diff(edges, prepend=-np.inf) > 0) & ~(near_end & (edges != lo) & (edges != hi))]
     mids = 0.5 * (grid[1:] + grid[:-1])
     halves = 0.5 * (grid[1:] - grid[:-1])
     nodes = (mids[:, None] + halves[:, None] * _GL_NODES).ravel()
@@ -135,15 +136,27 @@ def _zero_exponent(f, t0: float, s) -> float:
     return float(np.polyfit(np.log(s), np.log(vals), 1)[0])
 
 
-def detect_sign_changes(f, lo: float = -6.0, hi: float = 6.0, samples: int = 961) -> list[float]:
-    """Sign changes of a vectorised f on [lo, hi]: a uniform scan, each bracket refined by _bisect.
+def _refined_sign_changes(f, ts, fv) -> list[float]:
+    """Sign changes of a vectorised f from its values fv at the sorted samples ts.
 
-    Exact zeros at samples are reported once; changes closer than the scan step can be missed.
+    The samples where fv is exactly 0 are kept as they are, and each strict
+    bracket [ts[i], ts[i+1]] is refined by _bisect on f itself.
     """
-    ts = np.linspace(lo, hi, samples)
-    idx, exact = _sign_brackets(ts, np.asarray(f(ts), dtype=float))
+    idx, exact = _sign_brackets(ts, fv)
     found = _bisect(f, ts[idx], ts[idx + 1]) if idx.size else idx
     return sorted(float(t) for t in np.concatenate([found, exact]))
+
+
+def detect_sign_changes(f, lo: float = -6.0, hi: float = 6.0, samples: int = 961) -> list[float]:
+    """Sign changes of a vectorised f on [lo, hi]: a uniform scan of samples points.
+
+    The refinement is the one fixed_point_iterate runs on its grid values
+    (_refined_sign_changes): exact zeros at samples are reported once, and
+    each strict sign bracket is bisected on f to a few ulp.  Changes closer
+    than the scan step can be missed.
+    """
+    ts = np.linspace(lo, hi, samples)
+    return _refined_sign_changes(f, ts, np.asarray(f(ts), dtype=float))
 
 
 _KERNEL_BLOCK = 40  # kernel rows per band block, in sorted-t order
@@ -283,24 +296,26 @@ class _PanelKernel:
     def __call__(self, f, with_size: bool = False):
         """K f at ts; with_size adds K|f| on the narrow band, the scale of K f's rounding."""
         fv = np.asarray(f(self.tau), dtype=float)
-        fv = np.broadcast_to(fv, self.tau.shape + fv.shape[1:])  # a constant f may return a scalar
+        if fv.shape[:1] != self.tau.shape:  # a constant f may return a scalar
+            fv = np.broadcast_to(fv, self.tau.shape + fv.shape[1:])
         if not np.isfinite(fv).all():
             node = float(self.tau[np.argmin(np.isfinite(fv).reshape(fv.shape[:1] + (-1,)).all(axis=-1))])
             raise EvaluationError(f"non-finite integrand value at tau={node}", node)
         weighted = np.multiply(self.w, fv.reshape(self.tau.size, -1).T, order="C")
         r = weighted.shape[0]
         size = np.abs(weighted)
-        near = self._product(self.narrow, np.concatenate([weighted, size]))
-        near, near_size = near[:r], near[r:]
+        near = self._product(self.narrow, np.concatenate([weighted, size]))  # K f rows, then K|f| rows
         if self.full is not self.narrow and not np.all(
-            math.exp(-_BAND * _BAND) * size.sum(axis=1) <= 2.0**-53 * near_size.min(axis=1)
+            math.exp(-_BAND * _BAND) * size.sum(axis=1) <= 2.0**-53 * near[r:].min(axis=1)
         ):
             if self.full is None:
                 self.full = self._band(self.halfwidth)
-            near = self._product(self.full, weighted)
+            near[:r] = self._product(self.full, weighted)
         shape = self.ts.shape + fv.shape[1:]
-        out = self._at_ts(near).T.reshape(shape)
-        return (out, self._at_ts(near_size).T.reshape(shape)) if with_size else out
+        if not with_size:
+            return self._at_ts(near[:r]).T.reshape(shape)
+        both = self._at_ts(near)
+        return both[:r].T.reshape(shape), both[r:].T.reshape(shape)
 
 
 def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
@@ -649,8 +664,25 @@ class IterationResult:
         return self.status == "converged"
 
 
+def _preconditioner(p: int, h: float, n: int):
+    """P = (I - K/p)^{-1} on n grid values of step h, as a map of numpy arrays.
+
+    K e^{i xi t} = e^{-xi^2/4} e^{i xi t} (the paper's section 6), so P
+    multiplies the plane wave of frequency xi by 1/(1 - e^{-xi^2/4}/p): one
+    rfft/irfft pair of the values zero-padded to nfft, the first power of 2
+    >= n + 8/h.  The multiplier's poles nearest the real line sit at
+    xi = +-2i sqrt(ln p), so P's kernel decays like e^{-lambda |t|} with
+    lambda = 2 sqrt(ln p), and 8 units of zeros keep the periodic
+    wrap-around below e^{-8 lambda}.
+    """
+    nfft = 1 << (math.ceil(n + 8.0 / h) - 1).bit_length()
+    xi = (2.0 * math.pi / (nfft * h)) * np.arange(nfft // 2 + 1)
+    gain = 1.0 / (1.0 - np.exp(-0.25 * xi * xi) / p)
+    return lambda f: np.fft.irfft(np.fft.rfft(f, nfft) * gain, nfft)[:n]
+
+
 def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> IterationResult:
-    """Iterate phi <- signed p-th root of K phi on a uniform grid, with Anderson mixing.
+    """Iterate phi <- signed p-th root of K phi on a uniform grid, with preconditioned Anderson mixing.
 
     For odd p the root keeps the sign of K phi; for even p the sign comes
     from the template (default sgn(t)) and K phi must stay >= -tol, since a
@@ -659,25 +691,47 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel graded at the iterate's sign changes, built once per
     break set and rebuilt only when a break appears, vanishes or moves by
-    more than _BREAK_TOL.  The last one travels with the returned evaluator
-    as its _panel_kernel, when the run made that evaluator (never on the
-    caller's seed), for apply_K_panels and residual on the grid at those
-    breaks.
+    more than _BREAK_TOL.  The breaks come from the signs of the grid
+    values: a node value of exactly 0 is a break, and each strict sign
+    bracket between nodes is bisected on the iterate's evaluator, the
+    refinement detect_sign_changes runs on its own samples.  The last
+    kernel travels with the returned evaluator as its _panel_kernel, when
+    the run made that evaluator (never on the caller's seed), for
+    apply_K_panels and residual on the grid at those breaks.
 
     Each step is Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni,
-    SIAM J. Numer. Anal. 49, 2011) in the power variable psi = phi^p of
-    the equation: with A = K phi and f = A - phi^p on the grid, and the
-    differences dA, df of the last _ANDERSON_DEPTH steps, gamma minimises
-    |f - df gamma| and phi <- root(A - dA gamma).  The plain map
-    phi <- root(K phi) contracts by only 1/p on the smooth modes, where
-    K's spectrum e^{-xi^2/4} is near 1; on the erf kink the mixing takes
-    about 40% fewer steps.  The history is cleared whenever the grid
-    residual fails to decrease, so a growing run takes plain steps.
+    SIAM J. Numer. Anal. 49, 2011) in the power variable psi = phi^p of the
+    equation, on the map preconditioned by the paper's spectrum of K.  With
+    A = K phi and f = A - phi^p on the grid, the plain map psi <- A has the
+    linearisation d psi -> K d psi / (p phi^(p-1)), which is K/p about the
+    limits +-1.  K e^{i xi t} = e^{-xi^2/4} e^{i xi t} (section 6), so the
+    plain map contracts the plane wave of frequency xi only by
+    e^{-xi^2/4}/p, which is near 1/p on the smooth modes, and a Krylov
+    method such as Anderson mixing on that continuous spectrum is held to
+    about (sqrt kappa - 1)/(sqrt kappa + 1) per step, kappa = p/(p - 1).
+    Newton's step for f there is P f with P = (I - K/p)^{-1}, the
+    multiplier 1/(1 - e^{-xi^2/4}/p) on plane waves: one zero-padded FFT
+    pair on the grid (_preconditioner).  So the mixing runs on
+    g = phi^p + P f with the residual P f: with the differences dg, dPf of
+    the last _ANDERSON_DEPTH steps, gamma minimises |P f - dPf gamma| and
+    psi <- g - dg gamma, and the convergence turns superlinear.  The least
+    squares drops the singular directions of dPf below about cfg.tol / 10:
+    K commutes with shifts, so a kink off the grid's centre has a
+    translation mode that leaves the residual flat, and a gamma fitted to
+    residual differences at the noise level (about 1e-12) moved such a
+    kink's zero by up to 6e-6 where the plain map moves it by 1e-9.  A mixed psi below
+    64 eps K|phi| snaps to 0, as K phi does.  The first step, and
+    every step after a restart, is the plain map psi <- K phi; the history
+    is cleared whenever the grid residual fails to decrease, so a growing
+    run takes plain steps, and _ANDERSON_DEPTH = 0 is the plain map.
     The run converges when the grid residual max |K phi - phi^p| of the
-    current iterate (the trace's 'residual') drops below cfg.tol; that
-    iterate is returned and the step is declined, though the trace still
-    records its 'change', the max change of phi the step would make
-    (None on an infeasible step, which takes none).
+    current iterate (the trace's 'residual'; the preconditioned residual
+    only steers the mixing) drops below cfg.tol; that iterate is returned
+    and the step is declined, though the trace still records its 'change',
+    the max change of phi the step would make (None on an infeasible step,
+    which takes none).  Each trace entry also has 'depth', the number of
+    history differences its step mixed (0 for a plain step), and
+    'kernel_built', whether that iteration built a panel kernel.
     The change of phi, which stalls at eps^(1/p) at a zero on a grid node,
     decides only 'diverged'.  A seed with a non-finite value at a grid or
     panel node raises EvaluationError naming the first such node.
@@ -690,6 +744,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     L = cfg.grid_halfwidth
     n_half = int(round(L / cfg.grid_step))
     ts = np.linspace(-L, L, 2 * n_half + 1)
+    precondition = _preconditioner(cfg.p, L / n_half, ts.size)
 
     vals = np.asarray(phi0(ts), dtype=float)
     bad = np.flatnonzero(~np.isfinite(vals))
@@ -702,34 +757,42 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     status = "max_iter"
     iterations = 0
     apply_K = None
-    history = []  # (K phi, K phi - phi^p) of the latest iterates, oldest first
+    history = []  # (phi^p + P f, P f) of the latest iterates, oldest first
     for it in range(cfg.max_iter):
         iterations = it + 1
-        breaks = detect_sign_changes(evaluate, -L, L, 4 * n_half + 1)
-        if apply_K is None or not _breaks_agree(breaks, apply_K.breaks):
+        breaks = _refined_sign_changes(evaluate, ts, vals)
+        built = apply_K is None or not _breaks_agree(breaks, apply_K.breaks)
+        if built:
             apply_K = _PanelKernel(ts, breaks)
         A, scale = apply_K(evaluate, with_size=True)
         # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
-        A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
-        f = A - _equation_power(vals, cfg.p)
+        noise = 64 * np.finfo(float).eps * scale
+        A = np.where(np.abs(A) < noise, 0.0, A)
+        power = _equation_power(vals, cfg.p)
+        f = A - power
         eq_res = float(np.max(np.abs(f)))
         if even and float(np.min(A)) < -cfg.tol:
-            trace.append({"iteration": it, "change": None, "residual": eq_res})
+            trace.append({"iteration": it, "change": None, "residual": eq_res, "depth": 0, "kernel_built": built})
             status = "infeasible"
             break
         if trace and eq_res >= trace[-1]["residual"]:
             history = []  # restart: mixing across a growing residual could fit its way onto phi = 0
-        history = (history + [(A, f)])[-1 - _ANDERSON_DEPTH :]
+        pf = precondition(f)
+        history = (history + [(power + pf, pf)])[-1 - _ANDERSON_DEPTH :]
         psi = A
         if len(history) > 1:
             G, F = (np.diff(np.array(v), axis=0) for v in zip(*history))
-            psi = A - np.linalg.lstsq(F.T, f, rcond=None)[0] @ G
+            # fit no direction whose residual differences are below tol/10, far below what the
+            # stopping rule can see: there gamma would chase noise along the translation mode
+            psi = power + pf - np.linalg.lstsq(F.T, pf, rcond=0.1 * cfg.tol / np.linalg.norm(F))[0] @ G
+            psi = np.where(np.abs(psi) < noise, 0.0, psi)
         if even:
             root = sign_template(ts) * np.clip(psi, 0.0, None) ** (1.0 / cfg.p)
         else:
             root = np.sign(psi) * np.abs(psi) ** (1.0 / cfg.p)
-        trace.append({"iteration": it, "change": float(np.max(np.abs(root - vals))), "residual": eq_res})
+        trace.append({"iteration": it, "change": float(np.max(np.abs(root - vals))), "residual": eq_res,
+                      "depth": len(history) - 1, "kernel_built": built})
         if eq_res < cfg.tol:
             status = "converged"
             break

@@ -144,7 +144,7 @@ class TestSolveCommand:
                                         "laws_window": 18.5}
         with open(tmp_path / "sol_trace.jsonl") as fh:
             first = json.loads(next(fh))
-        assert {"iteration", "change", "residual"} == set(first)
+        assert {"iteration", "change", "residual", "depth", "kernel_built"} == set(first)
         with open(tmp_path / "sol.csv") as fh:
             header = fh.readline().strip()
         assert header == "t,phi,Kphi,phi_p,residual"

@@ -3,6 +3,9 @@
 The package loads no scipy module: the Gauss-Hermite rules, erf, the zero
 locator and the power spline of an iterating solve use numpy and math only,
 so no subcommand and no library call below loads a scipy module at all.
+numpy.fft, which the fixed-point iteration's preconditioner uses, loads on
+the first iterating solve and not before: the package import and the
+subcommands that do not iterate leave it unloaded.
 """
 import json
 import os
@@ -18,14 +21,14 @@ from padic_string import cli
 SRC = str(Path(padic_string.__file__).resolve().parent.parent)
 
 # Runs each argv through cli.main in one process and prints, per call, the
-# exit code and the scipy modules loaded after it.
+# exit code, the scipy modules loaded after it and whether numpy.fft is.
 RUN_CALLS = """
 import json, sys
 from padic_string import cli
 out = []
 for argv in json.loads(sys.argv[1]):
     rc = cli.main(argv)
-    out.append([rc, sorted(m for m in sys.modules if m.startswith("scipy"))])
+    out.append([rc, sorted(m for m in sys.modules if m.startswith("scipy")), "numpy.fft" in sys.modules])
 print(json.dumps(out))
 """
 
@@ -48,6 +51,11 @@ def test_import_leaves_spline_and_root_finder_unloaded(module):
     assert loaded == "[]"
 
 
+@pytest.mark.parametrize("module", ["padic_string", "padic_string.cli"])
+def test_import_leaves_numpy_fft_unloaded(module):
+    assert fresh_python(f"import sys, {module}; print('numpy.fft' in sys.modules)") == "False"
+
+
 def test_non_iterating_subcommands_stay_within_budget(tmp_path):
     calls = [
         ["hermite", "--n", "3"],
@@ -59,7 +67,7 @@ def test_non_iterating_subcommands_stay_within_budget(tmp_path):
         ["branch", "--n", "2"],
     ]
     results = json.loads(fresh_python(RUN_CALLS, json.dumps(calls), cwd=tmp_path))
-    assert results == [[0, []]] * len(calls)
+    assert results == [[0, [], False]] * len(calls)
 
 
 def test_iterating_solve_and_grid_zero_analysis_load_no_scipy(tmp_path):
@@ -71,4 +79,4 @@ bvp.local_zero_analysis(basis.GridFunction(nodes, np.cbrt(np.tanh(nodes))), 1)
 out.append(sorted(m for m in sys.modules if m.startswith("scipy")))
 print(json.dumps(out))""")
     results = json.loads(fresh_python(code, json.dumps([["solve", "--p", "3"]]), cwd=tmp_path))
-    assert results == [[0, []], []]
+    assert results == [[0, [], True], []]

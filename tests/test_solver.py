@@ -375,7 +375,7 @@ class TestFixedPoint:
 
     def test_trace_is_json_friendly(self, solved_p3):
         entry = solved_p3.trace[0]
-        assert set(entry) == {"iteration", "change", "residual"}
+        assert set(entry) == {"iteration", "change", "residual", "depth", "kernel_built"}
 
     def test_nonfinite_grid_seed_reports_node(self):
         nodes = np.linspace(-10.0, 10.0, 401)
@@ -417,6 +417,19 @@ class TestZeroLocator:
         [jump] = solver.detect_sign_changes(step, -1.0, 1.0, 21)
         assert jump == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.7, 1.2345, -1.8866])
+    def test_solver_breaks_are_the_locators(self, s, monkeypatch):
+        # the solver refines the sign brackets of its grid values as the locator does its scan's
+        seen = []
+        refine = solver._refined_sign_changes
+        monkeypatch.setattr(solver, "_refined_sign_changes", lambda *args: seen.append(refine(*args)) or seen[-1])
+        result = solver.fixed_point_iterate(
+            solver.SolverConfig(p=3, grid_step=0.025), lambda t: erf(1.3 * (np.asarray(t, dtype=float) - s))
+        )
+        assert result.converged
+        assert seen[-1] == solver.detect_sign_changes(result.phi)
+        assert abs(seen[-1][0] - s) < 1e-8
+
     def test_bisect_refines_every_bracket_together(self):
         roots = solver._bisect(np.cos, np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.0, 8.0]))
         np.testing.assert_allclose(roots, [0.5, 1.5, 2.5] * np.array(math.pi), rtol=0, atol=1e-14)
@@ -441,7 +454,8 @@ def plain_map(p: int) -> tuple[list, np.ndarray]:
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
         res = float(np.max(np.abs(A - vals * np.abs(vals) ** (p - 1))))
         root = np.sign(A) * np.abs(A) ** (1.0 / p)
-        trace.append({"iteration": len(trace), "change": float(np.max(np.abs(root - vals))), "residual": res})
+        trace.append({"iteration": len(trace), "change": float(np.max(np.abs(root - vals))), "residual": res,
+                      "depth": 0, "kernel_built": not trace})
         if res < 1e-10:
             return trace, vals
         vals = root
@@ -464,10 +478,41 @@ class TestAndersonMixing:
         np.testing.assert_array_equal(result.grid.values, vals)
 
     @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("a", [0.6, 1.3, 2.0])
+    def test_preconditioned_mixing_takes_at_most_nine_steps(self, a, p):
+        # mixing the plain map took 10-13 steps on these seeds
+        result = solver.fixed_point_iterate(
+            solver.SolverConfig(p, grid_step=0.025), lambda t: erf(a * np.asarray(t, dtype=float))
+        )
+        assert result.converged and result.iterations <= 9
+
+    def test_trace_states_each_steps_depth(self):
+        depths = [entry["depth"] for entry in centred_kink(3).trace]
+        assert depths[0] == 0 and depths == [min(i, solver._ANDERSON_DEPTH) for i in range(len(depths))]
+
+    @pytest.mark.parametrize("p", [3, 5])
     def test_mixing_lands_on_the_plain_map_solution(self, p):
         _, vals = plain_map(p)
         mixed = centred_kink(p).grid.values
         assert np.max(np.abs(mixed * np.abs(mixed) ** (p - 1) - vals * np.abs(vals) ** (p - 1))) < 1e-9
+
+
+class TestPreconditioner:
+    # K cos(xi t) = e^{-xi^2/4} cos(xi t), so P = (I - K/p)^{-1} divides the plane wave by 1 - e^{-xi^2/4}/p
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("xi", [0.5, 2.0, 6.0])
+    def test_plane_waves_take_the_spectral_multiplier(self, p, xi):
+        lam = 2.0 * math.sqrt(math.log(p))  # P's kernel decays like e^{-lam |t|}
+        for halfwidth in (10.0, 25.0):
+            ts = np.linspace(-halfwidth, halfwidth, int(round(80 * halfwidth)) + 1)
+            sel = np.abs(ts) <= 5.0
+            got = solver._preconditioner(p, 0.025, ts.size)(np.cos(xi * ts))[sel]
+            err = np.abs(got - np.cos(xi * ts[sel]) / (1.0 - math.exp(-xi * xi / 4.0) / p))
+            if halfwidth == 10.0:
+                # the 801-node grid: the wave stops at |t| = 10, and P reaches past it by its kernel's tail
+                assert np.all(err <= np.exp(-lam * (halfwidth - np.abs(ts[sel]))))
+            else:
+                assert err.max() < 1e-10
 
 
 class TestTranslationCovariance:
@@ -492,6 +537,17 @@ class TestTranslationCovariance:
         assert abs(local.fitted_exponent - 1.0 / p) < 0.05 / p
         assert local.a1 > 0
         assert local.a1 == pytest.approx(bvp.local_zero_analysis(centred.grid, (p - 1) // 2).a1, abs=1e-8)
+
+    @pytest.mark.parametrize("s", [-0.8011524378504609, 0.75, -1.8656576987781426, 0.16584488099636685])
+    def test_mixing_keeps_an_off_centre_zero_in_place(self, s):
+        # the translation mode leaves the residual flat; fitting the mixing to
+        # residual differences at the noise level moved these zeros by 2e-8 to 6e-6
+        result = solver.fixed_point_iterate(
+            solver.SolverConfig(5, grid_step=0.025), lambda t: erf(0.75 * (np.asarray(t, dtype=float) - s))
+        )
+        assert result.converged
+        [t0] = solver.detect_sign_changes(result.phi)
+        assert abs(t0 - s) < 1e-9
 
 
 class TestKernelReuse:
@@ -518,7 +574,7 @@ class TestKernelReuse:
     def test_kernel_rebuilt_only_when_breaks_change(self, monkeypatch):
         calls = self.count_panel_rules(monkeypatch)
         schedule = iter([[0.0], [0.0], [0.1], [0.1], [0.0]])
-        monkeypatch.setattr(solver, "detect_sign_changes", lambda *args, **kwargs: next(schedule))
+        monkeypatch.setattr(solver, "_refined_sign_changes", lambda *args, **kwargs: next(schedule))
         nodes = np.linspace(-10.0, 10.0, 401)
         seed = basis.GridFunction(nodes, np.tanh(nodes))
         result = solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=5), seed)
@@ -528,7 +584,7 @@ class TestKernelReuse:
     def test_kernel_kept_while_breaks_agree_within_tolerance(self, monkeypatch):
         calls = self.count_panel_rules(monkeypatch)
         schedule = iter([[0.0], [5e-11], [-5e-11], [2e-10], [2e-10]])
-        monkeypatch.setattr(solver, "detect_sign_changes", lambda *args, **kwargs: next(schedule))
+        monkeypatch.setattr(solver, "_refined_sign_changes", lambda *args, **kwargs: next(schedule))
         nodes = np.linspace(-10.0, 10.0, 401)
         seed = basis.GridFunction(nodes, np.tanh(nodes))
         solver.fixed_point_iterate(solver.SolverConfig(p=3, max_iter=5), seed)
@@ -578,6 +634,15 @@ class TestKernelReuse:
             solver.apply_K_panels(result.phi, *args)
         assert len(calls) == 5
 
+    def test_trace_marks_each_kernel_build(self, monkeypatch):
+        # the zero of an off-centre seed moves past _BREAK_TOL on the first steps
+        calls = self.count_panel_rules(monkeypatch)
+        result = solver.fixed_point_iterate(
+            solver.SolverConfig(p=3, grid_step=0.025), lambda t: erf(1.3 * (np.asarray(t, dtype=float) - 1.2345))
+        )
+        built = [entry["kernel_built"] for entry in result.trace]
+        assert result.converged and built[0] and sum(built) == len(calls) > 1
+
     def test_apply_K_panels_signature_is_stable(self):
         # the per-layer benchmark tracer binds these arguments by name
         params = inspect.signature(solver.apply_K_panels).parameters
@@ -604,6 +669,23 @@ def panels(lo, hi, breaks=()):
     t, w = t.reshape(-1, 16), w.reshape(-1, 16)
     mids, halves = t.mean(axis=1), 0.5 * w.sum(axis=1)
     return mids - halves, mids + halves, t, w
+
+
+def loop_panel_rule(lo, hi, breaks=()):
+    """panel_rule's edges written as loops over sets: the reference of its vectorised form."""
+    plain = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / solver._PANEL)) + 1))
+    inner = [b for b in breaks if lo < b < hi]
+    edges = {plain[0], plain[-1]}
+    edges.update(e for e in plain[1:-1] if all(e == b or abs(e - b) >= solver._INNERMOST for b in inner))
+    for b in inner:
+        step = solver._INNERMOST
+        while step < solver._PANEL:
+            edges.update(edge for edge in (b - step, b + step) if lo < edge < hi)
+            step *= 2.0
+        edges.add(b)
+    grid = np.array(sorted(e for e in edges if e in (lo, hi) or min(e - lo, hi - e) >= solver._INNERMOST))
+    mids, halves = 0.5 * (grid[1:] + grid[:-1]), 0.5 * (grid[1:] - grid[:-1])
+    return (mids[:, None] + halves[:, None] * solver._GL_NODES).ravel(), (halves[:, None] * solver._GL_WEIGHTS).ravel()
 
 
 class TestPanelRule:
@@ -654,6 +736,38 @@ class TestPanelRule:
         left, right, t, _ = panels(-0.3, 0.9, [b])
         assert t.size == 864
         assert np.min(right - left) == pytest.approx(solver._INNERMOST, rel=1e-6)
+
+    @pytest.mark.parametrize("lo, hi, b", [(-0.3, 0.9, -0.3 + 1e-12), (-0.3, 0.9, 0.9 - 1e-12),
+                                           (-0.3, 0.9, -0.3 + 1.5e-8), (-0.3, 0.9, 0.9 - 1.5e-8)])
+    def test_a_break_near_a_window_end_cuts_no_sliver(self, lo, hi, b):
+        # an edge within _INNERMOST inside a window end gives way to that end;
+        # the grading on the break's inner side stays
+        left, right, _, w = panels(lo, hi, [b])
+        assert np.min(right - left) == pytest.approx(solver._INNERMOST, rel=1e-6)
+        assert w.sum() == pytest.approx(hi - lo, rel=1e-14)
+        inner = right if b - lo < hi - b else left
+        inward = math.copysign(solver._INNERMOST, 0.5 * (lo + hi) - b)
+        assert np.any(np.isclose(inner, b + inward, rtol=0, atol=1e-15))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(-25.0, 0.0),
+        width=st.floats(0.01, 45.0),
+        picks=st.lists(st.tuples(st.sampled_from(["any", "edge", "near"]), st.floats(-0.1, 1.1)), max_size=4),
+    )
+    def test_vectorised_rule_equals_the_loops(self, lo, width, picks):
+        hi = lo + width
+        plain = np.linspace(lo, hi, max(2, int(math.ceil(width)) + 1))
+        breaks = []
+        for kind, x in picks:
+            b = lo + x * width
+            if kind == "edge":
+                b = float(plain[min(int(abs(x) * plain.size), plain.size - 1)])
+            elif kind == "near" and breaks:
+                b = breaks[-1] + x * 1e-7
+            breaks.append(b)
+        for got, want in zip(solver.panel_rule(lo, hi, breaks), loop_panel_rule(lo, hi, breaks)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("b", [-9.0, -4.0, 4.0, 30.0])
     def test_break_outside_the_window_adds_no_nodes(self, b):
