@@ -153,9 +153,9 @@ def local_zero_analysis(phi, q: int) -> LocalZeroReport:
     t0 is the one sign change detect_sign_changes finds on |t| <= 6 (none or
     several raise ValueError).  a1 comes from the weighted first moment
     (4/sqrt(pi)) int_0^inf phi(t0 + s) e^{-s^2} s ds, a panel quadrature of
-    the even integrand over |s| <= 12 graded at its kink s = 0; the exponent
-    is a log-log fit of |phi(t0 + s)| at 25 geometric steps of s from 1e-3
-    to 1e-1.  A GridFunction input is evaluated through the smooth power
+    the even integrand over |s| <= 12 with sides substituted at its kink
+    s = 0 (480 nodes); the exponent is a log-log fit of |phi(t0 + s)| at 25
+    geometric steps of s from 1e-3 to 1e-1.  A GridFunction input is evaluated through the smooth power
     interpolant for p = 2q+1, which keeps the fit meaningful below the grid
     spacing.
     """

@@ -168,7 +168,8 @@ def cmd_solve(args) -> int:
         "conservation_laws": [float(v) for v in laws],
         "limits": dataclasses.asdict(solver.limit_diagnostics(result.grid, args.p)),
         "panel_rule": {"width": solver._PANEL, "nodes_per_panel": solver._GL_NODES.size,
-                       "innermost_panel": solver._INNERMOST, "laws_window": solver._LAWS_WINDOW},
+                       "substitution_exponent": solver._SIDE_POWER, "side_panels": solver._SIDE_PANELS,
+                       "laws_window": solver._LAWS_WINDOW},
     }
     verify_path = _write_json(prefix + "_verify.json", report)
     print(f"wrote {sol_path}, {trace_path}, {verify_path}")

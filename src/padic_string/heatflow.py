@@ -95,10 +95,12 @@ def energy_identity_residual(phi, p: int, domain: tuple[float, float] = (-10.0, 
 
     (K phi)^2 is entire, so its t-integral takes the plain panel_rule of the
     window (16 nodes per unit panel: 256 on (-8, 8), 320 on the default
-    window), with K phi one apply_K_panels call at those nodes, graded at the
-    sign changes that detect_sign_changes finds on 801 points of the window;
-    phi is so sampled up to 12 beyond the window.  phi^{2p} keeps the
-    fractional-power zeros of phi and takes the panel_rule graded there.
+    window), with K phi one apply_K_panels call at those nodes, its sides
+    substituted at the sign changes that detect_sign_changes finds on 801
+    points of the window; phi is so sampled up to 12 beyond the window.
+    phi^{2p} keeps the fractional-power zeros of phi and takes the
+    panel_rule with sides substituted there (352 nodes on (-8, 8) with one
+    zero).
     """
     a, b = domain
     breaks = detect_sign_changes(phi, a, b, 801)

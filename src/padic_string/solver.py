@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
 from .basis import (
@@ -73,40 +72,59 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 #   1       1.0e-15   8.1e-16   8.6e-16   1.6e-15
 #   2       2.3e-15   3.1e-13   2.1e-11   1.3e-09
 _PANEL = 1.0
-_INNERMOST = 1e-8  # the innermost panel on each side of a break
-# the graded edges' offsets from a break: _INNERMOST, doubling while below _PANEL
-_GRADING = _INNERMOST * 2.0 ** np.arange(math.ceil(math.log2(_PANEL / _INNERMOST)))
+# Near a break b a candidate is psi^(1/p) with psi smooth and psi(b) = 0, as phi^p = K phi is
+# entire.  On a side [b, b + H] the substitution tau = b + H s^5, with its Jacobian 5 H s^4,
+# turns the kink |tau - b|^(1/p) into s^(4 + 5/p), which _SIDE_PANELS 16-point panels of s in
+# [0, 1] integrate to rounding (Kress, Numer. Math. 58, 1990); the tests hold p = 2 .. 7 to
+# 1e-14 against mpmath.  The nodes s^5 and weights 5 s^4 w_s of one side, on [0, 1]:
+_SIDE_POWER = 5
+_SIDE_PANELS = 4
+_SIDE_S = (np.arange(0.5, _SIDE_PANELS) / _SIDE_PANELS)[:, None] + 0.5 / _SIDE_PANELS * _GL_NODES  # s, by panel
+_SIDE_NODES = _SIDE_S.ravel() ** _SIDE_POWER
+_SIDE_WEIGHTS = (_SIDE_POWER * _SIDE_S ** (_SIDE_POWER - 1) * (0.5 / _SIDE_PANELS) * _GL_WEIGHTS).ravel()
+
+
+def _distinct(x) -> np.ndarray:
+    """x sorted, without repeats: np.unique, which would import numpy.ma on first use."""
+    x = np.sort(x)
+    return np.concatenate([x[:1], x[1:][x[1:] > x[:-1]]])
 
 
 def panel_rule(lo: float, hi: float, breaks=()) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre rule on [lo, hi], graded at breaks.
+    """Composite 16-point Gauss-Legendre rule on [lo, hi], with substituted sides at breaks.
 
-    Panels have width at most _PANEL = 1; around every interior break the
-    panels halve down to _INNERMOST = 1e-8 on each side, so integrands with
-    an algebraic kink (a fractional-power zero of a candidate solution) are
-    integrated to near machine accuracy instead of the slow algebraic rate
-    a smooth-weight rule would give.  A break outside (lo, hi) adds nothing;
-    an inner plain edge within _INNERMOST of a break gives way to the break,
-    and any edge within _INNERMOST of a window end gives way to that end, so
-    no panel is narrower than _INNERMOST (a window narrower than that aside).
+    Plain panels have width at most _PANEL = 1.  Every interior break b
+    gets two sides, [b - H, b] and [b, b + H], each as wide as _PANEL, the
+    distance to the window end and half the gap to the neighbouring break
+    allow, so the sides of two breaks closer than 2 meet at their midpoint.
+    A side takes tau = b -+ H s^5 on _SIDE_PANELS panels of s in [0, 1]:
+    an integrand with an algebraic kink at b (a fractional-power zero of a
+    candidate solution) is then smooth in s and integrated to near machine
+    accuracy.  A plain edge strictly inside a side gives way to it; a break
+    outside (lo, hi) adds nothing.  The nodes come out in increasing order.
     """
     if not hi > lo:
         raise ValueError("empty integration window")
     plain = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / _PANEL)) + 1))
-    inner = np.array([b for b in breaks if lo < b < hi], dtype=float)
-    # an inner plain edge within _INNERMOST of a break, but not on it, would cut a sliver panel
-    gaps = np.abs(plain[1:-1, None] - inner)
-    kept = plain[1:-1][np.all((gaps == 0) | (gaps >= _INNERMOST), axis=1)]
-    graded = (inner[:, None] + np.concatenate([-_GRADING, _GRADING])).ravel()
-    edges = np.sort(np.concatenate([plain[[0, -1]], kept, graded[(lo < graded) & (graded < hi)], inner]))
-    # an edge within _INNERMOST inside a window end gives way to that end, the break included
-    near_end = np.minimum(edges - lo, hi - edges) < _INNERMOST
-    grid = edges[(np.diff(edges, prepend=-np.inf) > 0) & ~(near_end & (edges != lo) & (edges != hi))]
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    halves = 0.5 * (grid[1:] - grid[:-1])
-    nodes = (mids[:, None] + halves[:, None] * _GL_NODES).ravel()
-    weights = (halves[:, None] * _GL_WEIGHTS).ravel()
-    return nodes, weights
+    inner = _distinct(np.array([b for b in breaks if lo < b < hi], dtype=float))
+    halfway = 0.5 * (inner[1:] + inner[:-1])
+    outer_lo = np.maximum(inner - _PANEL, np.concatenate([[lo], halfway]))  # the far ends of the sides
+    outer_hi = np.minimum(inner + _PANEL, np.concatenate([halfway, [hi]]))
+    inside = np.any((outer_lo < plain[:, None]) & (plain[:, None] < outer_hi), axis=1)
+    edges = _distinct(np.concatenate([plain[~inside], outer_lo, outer_hi, inner]))
+    at_break = np.zeros(edges.size, dtype=bool)
+    at_break[np.searchsorted(edges, inner)] = True
+    grid = ~(at_break[:-1] | at_break[1:])  # the plain panels: no end at a break
+    mids = 0.5 * (edges[1:] + edges[:-1])[grid]
+    halves = 0.5 * (edges[1:] - edges[:-1])[grid]
+    below, above = (inner - outer_lo)[:, None], (outer_hi - inner)[:, None]
+    nodes = np.concatenate([(mids[:, None] + halves[:, None] * _GL_NODES).ravel(),
+                            (inner[:, None] - below * _SIDE_NODES[::-1]).ravel(),
+                            (inner[:, None] + above * _SIDE_NODES).ravel()])
+    weights = np.concatenate([(halves[:, None] * _GL_WEIGHTS).ravel(),
+                              (below * _SIDE_WEIGHTS[::-1]).ravel(), (above * _SIDE_WEIGHTS).ravel()])
+    order = np.argsort(nodes, kind="stable")
+    return nodes[order], weights[order]
 
 
 def _sign_brackets(ts, fv) -> tuple[np.ndarray, np.ndarray]:
@@ -160,53 +178,12 @@ def detect_sign_changes(f, lo: float = -6.0, hi: float = 6.0, samples: int = 961
 
 
 _KERNEL_BLOCK = 40  # kernel rows per band block, in sorted-t order
-_BREAK_TOL = 1e-10  # far below the 1e-8 innermost panel: a kernel graded at either break fits both
+_BREAK_TOL = 1e-10  # a kernel built at b integrates a kink at b + 1e-10 to within 1e-12 (p = 3, 5, 7)
 _BAND = 6.5  # the narrow band: e^{-6.5^2} < 5e-19 and erfc(6.5) < 4e-20
-_CHEB = 20  # Chebyshev nodes standing for the points within 1/2 of a break
-_CHEB_NODES = np.cos((2 * np.arange(_CHEB, 0, -1) - 1) * np.pi / (2 * _CHEB))  # first kind, ascending
-# l_m(x) = sum_k c_k T_k(x_m) T_k(x) with c_0 = 1/n and c_k = 2/n: the discrete
-# orthogonality of T_0 .. T_{n-1} on the n Chebyshev nodes x_m of the first kind
-_CHEB_COEFFS = chebvander(_CHEB_NODES, _CHEB - 1) * np.where(np.arange(_CHEB) == 0, 1.0, 2.0) / _CHEB
 
 
 def _breaks_agree(a, b) -> bool:
     return len(a) == len(b) and all(abs(x - y) <= _BREAK_TOL for x, y in zip(a, b))
-
-
-def _chebyshev_pieces(x, breaks) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Cut sorted points x into runs, with _CHEB Chebyshev nodes in place of each run near a break.
-
-    A break's run is the points within 1/2 of it; the runs of two breaks
-    closer than 1 meet at their midpoint.  A run is kept as it is when the
-    nodes would not halve it, or when it repeats one value.  Returns the
-    pieces (src, dst, L): x[src] stands at the slice dst of the new points,
-    one for one when L is None, and through L[m, k] = l_m(x_k), the Lagrange
-    basis of the Chebyshev nodes on the span of x[src], when not.  Also
-    returns the new points, sorted, and the span [first, last] of x that
-    each one stands for.
-    """
-    bs = np.sort(np.asarray(breaks, dtype=float))
-    bs = bs[np.diff(bs, prepend=-np.inf) > 0]  # np.unique, which would import numpy.ma on first use
-    mids = 0.5 * (bs[1:] + bs[:-1])
-    starts = np.searchsorted(x, np.maximum(bs - 0.5, np.concatenate([[-np.inf], mids])))
-    stops = np.searchsorted(x, np.minimum(bs + 0.5, np.concatenate([mids, [np.inf]])))
-    pieces, points, first, last = [], [], [], []
-    pos = out = 0
-    for start, stop in zip(starts, stops):
-        if stop - start <= 2 * _CHEB or not x[stop - 1] > x[start]:
-            continue
-        a, b = x[start], x[stop - 1]
-        s = np.clip((x[start:stop] - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-        lagrange = _CHEB_COEFFS @ chebvander(s, _CHEB - 1).T
-        kept = start - pos
-        pieces += [(slice(pos, start), slice(out, out + kept), None),
-                   (slice(start, stop), slice(out + kept, out + kept + _CHEB), lagrange)]
-        points += [x[pos:start], 0.5 * (a + b) + 0.5 * (b - a) * _CHEB_NODES]
-        first += [x[pos:start], np.full(_CHEB, a)]
-        last += [x[pos:start], np.full(_CHEB, b)]
-        pos, out = stop, out + kept + _CHEB
-    pieces.append((slice(pos, x.size), slice(out, out + x.size - pos), None))
-    return (pieces, *(np.concatenate(v + [x[pos:]]) for v in (points, first, last)))
 
 
 class _PanelKernel:
@@ -214,26 +191,21 @@ class _PanelKernel:
 
     halfwidth is the integration window: a row's band reaches halfwidth
     from it unless the integrand's bound shows the tail past _BAND below
-    rounding.  Two steps of the fast Gauss transform (Greengard & Strain,
-    SIAM J. Sci. Stat. Comput. 12, 1991) make one kernel cheap enough to
-    serve a whole solve.  The nodes are panel_rule's, 16 per panel of width
-    at most _PANEL = 1: on the 801 rows of [-10, 10] with break 0 that is
-    1568 nodes, 740 after compression, and 199,528 band entries.
+    rounding.  That band, the truncation step of the fast Gauss transform
+    (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991), makes one
+    kernel cheap enough to serve a whole solve.  The nodes are
+    panel_rule's, 16 per panel of width at most _PANEL = 1 and 64 on each
+    side of a break: on the 801 rows of [-10, 10] with break 0 that is 800
+    nodes and 233,128 band entries.  The rows are ts itself, sorted.
 
-    * Compression.  On a span of width 1, e^{-(t-tau)^2} is a polynomial of
-      degree _CHEB - 1 in tau to rounding.  So the graded panel nodes within
-      1/2 of a break become _CHEB Chebyshev nodes c_m, with weights
-      g_m = sum_k l_m(tau_k) w_k f(tau_k) (_chebyshev_pieces).  The rows
-      are ts itself, sorted.
-    * Banding by the integrand's own bound.  Rows are stored in blocks of
-      _KERNEL_BLOCK sorted t over the contiguous slice of nodes that some
-      row of the block reaches, first for |t - tau| <= _BAND (a row that
-      reaches any of a compressed span takes it whole).  An apply keeps that
-      band when the tail it drops, at most e^{-_BAND^2} sum_j w_j |f_j|, is
-      below one rounding unit of every row's sum_j e^{-(t - tau_j)^2} w_j |f_j|,
-      which the same product gives from |f| columns.  Otherwise, for an f
-      that grows too fast for that, the band of the whole halfwidth is built
-      the same way, once, and used.
+    Banding by the integrand's own bound: rows are stored in blocks of
+    _KERNEL_BLOCK sorted t over the contiguous slice of nodes that some row
+    of the block reaches, first for |t - tau| <= _BAND.  An apply keeps that
+    band when the tail it drops, at most e^{-_BAND^2} sum_j w_j |f_j|, is
+    below one rounding unit of every row's sum_j e^{-(t - tau_j)^2} w_j |f_j|,
+    which the same product gives from |f| columns.  Otherwise, for an f that
+    grows too fast for that, the band of the whole halfwidth is built the
+    same way, once, and used.
     """
 
     def __init__(self, ts, breaks=(), halfwidth: float = 12.0):
@@ -243,7 +215,6 @@ class _PanelKernel:
         self.tau, self.w = panel_rule(float(self.ts.min()) - halfwidth, float(self.ts.max()) + halfwidth, self.breaks)
         self.order = np.argsort(self.ts, kind="stable")
         self.rows = self.ts[self.order]
-        self.node_pieces, self.nodes, self.first, self.last = _chebyshev_pieces(self.tau, self.breaks)
         self.narrow = self._band(min(_BAND, halfwidth))
         self.full = self.narrow if halfwidth <= _BAND else None
 
@@ -252,9 +223,9 @@ class _PanelKernel:
 
         A row may thus sum a few nodes past cut, which only makes it more exact.
         """
-        # row t reaches the nodes [reach_lo, reach_hi): those whose span is within cut of t
-        reach_lo = np.searchsorted(self.last, self.rows - cut)
-        reach_hi = np.searchsorted(self.first, self.rows + cut, "right")
+        # row t reaches the nodes [reach_lo, reach_hi): those within cut of t
+        reach_lo = np.searchsorted(self.tau, self.rows - cut)
+        reach_hi = np.searchsorted(self.tau, self.rows + cut, "right")
         starts = np.arange(0, self.rows.size, _KERNEL_BLOCK)
         stops = np.minimum(starts + _KERNEL_BLOCK, self.rows.size)
         los, his = reach_lo[starts], reach_hi[stops - 1]
@@ -263,7 +234,7 @@ class _PanelKernel:
         # t - c as the product [t, -1] @ [1, c]: one rounding per entry, so the
         # same bits as the broadcast difference, which numpy writes slower
         rows = np.stack([self.rows, np.full(self.rows.size, -1.0)], axis=1)
-        nodes = np.stack([np.ones(self.nodes.size), self.nodes])
+        nodes = np.stack([np.ones(self.tau.size), self.tau])
         blocks, used = [], 0
         for start, stop, lo, hi in zip(starts, stops, los, his):
             band = store[used : used + (stop - start) * (hi - lo)].reshape(stop - start, hi - lo)
@@ -280,12 +251,9 @@ class _PanelKernel:
 
     def _product(self, blocks, weighted) -> np.ndarray:
         """Band sums at self.rows of the rows of weighted, values times weights at self.tau."""
-        reduced = np.empty((weighted.shape[0], self.nodes.size))
-        for src, dst, lagrange in self.node_pieces:
-            reduced[:, dst] = weighted[:, src] if lagrange is None else weighted[:, src] @ lagrange.T
         near = np.empty((weighted.shape[0], self.rows.size))
         for part, cols, band in blocks:
-            near[:, part] = reduced[:, cols] @ band.T
+            near[:, part] = weighted[:, cols] @ band.T
         return near
 
     def _at_ts(self, near) -> np.ndarray:
@@ -322,9 +290,11 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     """K f on the sample points via the kink-aware composite panel rule.
 
     The rule is panel_rule's: 16 Gauss-Legendre nodes per panel of width at
-    most _PANEL = 1, graded at the breaks.  That resolves every frequency
-    that K's spectrum e^{-xi^2/4} leaves above rounding (|xi| <= 12), so
-    K cos(xi .) comes out as e^{-xi^2/4} cos(xi t) to about 1e-15.
+    most _PANEL = 1, and a substituted side of width at most 1 on each side
+    of every break, which integrates a kink there to rounding.  That
+    resolves every frequency that K's spectrum e^{-xi^2/4} leaves above
+    rounding (|xi| <= 12), so K cos(xi .) comes out as e^{-xi^2/4} cos(xi t)
+    to about 1e-15.
     halfwidth is the integration window: each row integrates
     pi^(-1/2) int f(tau) e^{-(t-tau)^2} dtau over [t - halfwidth,
     t + halfwidth].  Per call the kernel narrows its band to
@@ -332,11 +302,9 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     unit of every row's sum_j e^{-(t-tau_j)^2} w_j |f_j|, so that the tail
     it drops cannot show, and sums over the whole window otherwise: an f
     growing like exp(c t^2) gets the full halfwidth, which must then be
-    wide enough for the kernel to beat the growth.  The graded panels at
-    the breaks are compressed onto Chebyshev nodes, the interpolation step
-    of the fast Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
-    Comput. 12, 1991; see _PanelKernel).  An f returning an (n, r) block of
-    r functions gives an (len(ts), r) result from one kernel.  A non-finite
+    wide enough for the kernel to beat the growth (see _PanelKernel).  An f
+    returning an (n, r) block of r functions gives an (len(ts), r) result
+    from one kernel.  A non-finite
     value of f raises EvaluationError naming the first panel node where it
     occurs.  An f that carries a _panel_kernel attribute, as the evaluator
     a fixed_point_iterate run made does, has it reused when it fits ts,
@@ -689,9 +657,9 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     solution's power is non-negative; a violation stops the run with status
     'infeasible'.  phi0 is a callable (a GridFunction is one) and is the
     first iterate, so it need not be smooth: every iteration applies K with
-    the panel kernel graded at the iterate's sign changes, built once per
-    break set and rebuilt only when a break appears, vanishes or moves by
-    more than _BREAK_TOL.  The breaks come from the signs of the grid
+    the panel kernel whose sides are substituted at the iterate's sign
+    changes, built once per break set and rebuilt only when a break
+    appears, vanishes or moves by more than _BREAK_TOL.  The breaks come from the signs of the grid
     values: a node value of exactly 0 is a break, and each strict sign
     bracket between nodes is bisected on the iterate's evaluator, the
     refinement detect_sign_changes runs on its own samples.  The last
@@ -821,10 +789,9 @@ def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> floa
     points defaulting to the sign changes of phi, which is where candidate
     solutions lose smoothness.  halfwidth is the integration window beyond
     the samples.  The kernel narrows its band per call when the stated
-    tail bound allows it (the compressed, banded _PanelKernel of the fast
-    Gauss transform), so only candidates growing like exp(c t^2) use the
-    whole window, which must then be widened until the kernel beats the
-    growth.  The evaluator of a fixed_point_iterate result carries its
+    tail bound allows it (the banded _PanelKernel), so only candidates
+    growing like exp(c t^2) use the whole window, which must then be
+    widened until the kernel beats the growth.  The evaluator of a fixed_point_iterate result carries its
     run's kernel, which is reused on the run's grid and breaks.
     """
     if ts is None:
@@ -843,11 +810,11 @@ _LAWS_WINDOW = 18.5  # conservation_laws_check integrates over |t| <= _LAWS_WIND
 def conservation_laws_check(phi, p: int, N: int, breaks=None) -> np.ndarray:
     """|(phi^p, H_n)_1 - (phi, V_n)_{1/2}| for n = 0..N, phi^p being |phi|^p for even p.
 
-    Both weighted integrals use one panel rule on |t| <= _LAWS_WINDOW, graded
-    at the sign changes of phi, and one evaluation of phi: the window makes the
-    discarded weight-1/2 tail negligible for bounded candidates, and past
-    |t| = 13 the weight-1 integrand is below e^{-169}, too small to change
-    a rounded sum.
+    Both weighted integrals use one panel rule on |t| <= _LAWS_WINDOW, with
+    sides substituted at the sign changes of phi, and one evaluation of phi:
+    the window makes the discarded weight-1/2 tail negligible for bounded
+    candidates, and past |t| = 13 the weight-1 integrand is below e^{-169},
+    too small to change a rounded sum.
     """
     if breaks is None:
         breaks = detect_sign_changes(phi)

@@ -140,8 +140,8 @@ class TestSolveCommand:
         assert report["max_residual"] < 1e-6
         assert report["limits"]["admissible"] is True
         assert max(report["conservation_laws"]) < 1e-4
-        assert report["panel_rule"] == {"width": 1.0, "nodes_per_panel": 16, "innermost_panel": 1e-08,
-                                        "laws_window": 18.5}
+        assert report["panel_rule"] == {"width": 1.0, "nodes_per_panel": 16, "substitution_exponent": 5,
+                                        "side_panels": 4, "laws_window": 18.5}
         with open(tmp_path / "sol_trace.jsonl") as fh:
             first = json.loads(next(fh))
         assert {"iteration", "change", "residual", "depth", "kernel_built"} == set(first)

@@ -522,6 +522,15 @@ class TestTranslationCovariance:
     @given(s=st.floats(-2.0, 2.0), a=st.floats(0.6, 2.0), p=st.sampled_from([3, 5]))
     @example(s=0.3, a=1.3, p=3)  # the zero falls on a grid node
     @example(s=1.2345, a=1.3, p=3)
+    # zeros whose break sides swallow a plain edge of the solve kernel (0 or -1)
+    @example(s=0.0625, a=1.0, p=3)
+    @example(s=0.0625, a=1.0, p=5)
+    @example(s=0.0135, a=1.3, p=3)
+    @example(s=0.0135, a=1.3, p=5)
+    @example(s=0.003, a=1.3, p=3)
+    @example(s=0.003, a=1.3, p=5)
+    @example(s=-0.9997, a=1.0, p=3)
+    @example(s=-0.9997, a=1.0, p=5)
     def test_off_centre_seed_converges_to_the_shifted_kink(self, s, a, p):
         result = solver.fixed_point_iterate(
             solver.SolverConfig(p, grid_step=0.025), lambda t: erf(a * (np.asarray(t, dtype=float) - s))
@@ -663,40 +672,73 @@ def kinked_block(xi):
     return lambda t: np.stack([np.cos(xi * t), np.cbrt(np.sin(xi * t))], axis=-1)
 
 
-def panels(lo, hi, breaks=()):
-    """panel_rule's panels as (left, right, nodes, weights), in order."""
+def pieces(lo, hi, breaks=()):
+    """panel_rule split into its plain panels and the two sides of each inner break.
+
+    The plain panels come as (left, right, nodes, weights), nodes and weights
+    of shape (n, 16); the sides as a list of (break, far end, nodes, weights),
+    the side below each break first.  Each side is found from where
+    side_widths puts its far end, and its width read back from its weights.
+    """
     t, w = solver.panel_rule(lo, hi, breaks)
-    t, w = t.reshape(-1, 16), w.reshape(-1, 16)
+    n = solver._SIDE_NODES.size
+    plain = np.ones(t.size, dtype=bool)
+    sides = []
+    for b, (below, _) in zip(sorted({b for b in breaks if lo < b < hi}), side_widths(lo, hi, breaks)):
+        i = np.searchsorted(t, b - below, "right")  # the first node of the side below b
+        for part, sign in ((slice(i, i + n), -1.0), (slice(i + n, i + 2 * n), 1.0)):
+            plain[part] = False
+            sides.append((b, b + sign * w[part].sum(), t[part], w[part]))
+    t, w = t[plain].reshape(-1, 16), w[plain].reshape(-1, 16)
     mids, halves = t.mean(axis=1), 0.5 * w.sum(axis=1)
-    return mids - halves, mids + halves, t, w
+    return (mids - halves, mids + halves, t, w), sides
+
+
+def side_widths(lo, hi, breaks):
+    """The widths (below, above) of each inner break's sides: 1, or less by the window end or half the gap."""
+    inner = sorted({b for b in breaks if lo < b < hi})
+    bounds = [lo] + [0.5 * (a + b) for a, b in zip(inner, inner[1:])] + [hi]
+    return [(min(1.0, b - bounds[i]), min(1.0, bounds[i + 1] - b)) for i, b in enumerate(inner)]
 
 
 def loop_panel_rule(lo, hi, breaks=()):
-    """panel_rule's edges written as loops over sets: the reference of its vectorised form."""
+    """panel_rule written as loops over its pieces: the reference of its vectorised form."""
+    inner = sorted({b for b in breaks if lo < b < hi})
+    sides = []  # (break, far end) of each side
+    for i, b in enumerate(inner):
+        sides.append((b, max(b - solver._PANEL, lo if i == 0 else 0.5 * (inner[i - 1] + b))))
+        sides.append((b, min(b + solver._PANEL, hi if i == len(inner) - 1 else 0.5 * (b + inner[i + 1]))))
     plain = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / solver._PANEL)) + 1))
-    inner = [b for b in breaks if lo < b < hi]
-    edges = {plain[0], plain[-1]}
-    edges.update(e for e in plain[1:-1] if all(e == b or abs(e - b) >= solver._INNERMOST for b in inner))
-    for b in inner:
-        step = solver._INNERMOST
-        while step < solver._PANEL:
-            edges.update(edge for edge in (b - step, b + step) if lo < edge < hi)
-            step *= 2.0
-        edges.add(b)
-    grid = np.array(sorted(e for e in edges if e in (lo, hi) or min(e - lo, hi - e) >= solver._INNERMOST))
-    mids, halves = 0.5 * (grid[1:] + grid[:-1]), 0.5 * (grid[1:] - grid[:-1])
-    return (mids[:, None] + halves[:, None] * solver._GL_NODES).ravel(), (halves[:, None] * solver._GL_WEIGHTS).ravel()
+    edges = {e for e in plain if not any(min(b, end) < e < max(b, end) for b, end in sides)}
+    edges.update(x for side in sides for x in side)
+    grid = sorted(edges)
+    nodes, weights = [], []
+    for a, c in zip(grid, grid[1:]):
+        if a not in inner and c not in inner:
+            mid, half = 0.5 * (a + c), 0.5 * (c - a)
+            nodes.append(mid + half * solver._GL_NODES)
+            weights.append(half * solver._GL_WEIGHTS)
+    for b, end in sides:
+        width = abs(end - b)
+        nodes.append(b - width * solver._SIDE_NODES if end < b else b + width * solver._SIDE_NODES)
+        weights.append(width * solver._SIDE_WEIGHTS)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 class TestPanelRule:
-    WINDOWS = [(-22.0, 22.0, []), (-8.0, 8.0, [0.0]), (-3.3, 4.1, [-1.2, 0.25, 0.7]), (0.0, 0.7, [0.3])]
+    WINDOWS = [(-22.0, 22.0, []), (-8.0, 8.0, [0.0]), (-3.3, 4.1, [-1.2, 0.25, 0.7]), (0.0, 0.7, [0.3]),
+               (-8.0, 8.0, [0.0625, -0.9997])]
 
     @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
     def test_no_panel_is_wider_than_the_widest(self, lo, hi, breaks):
-        left, right, _, _ = panels(lo, hi, breaks)
+        # the plain panels and the sides, no side wider than a panel, tile the window
+        (left, right, _, _), sides = pieces(lo, hi, breaks)
         assert np.all(right - left <= solver._PANEL * (1 + 1e-12))
-        np.testing.assert_allclose([left[0], right[-1]], [lo, hi], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(left[1:], right[:-1], rtol=0, atol=1e-14)
+        assert all(abs(end - b) <= solver._PANEL * (1 + 1e-12) for b, end, _, _ in sides)
+        ends = sorted([*zip(left, right), *((min(b, end), max(b, end)) for b, end, _, _ in sides)])
+        starts, stops = np.array(ends).T
+        np.testing.assert_allclose([starts[0], stops[-1]], [lo, hi], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(starts[1:], stops[:-1], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
     def test_weights_sum_to_the_window(self, lo, hi, breaks):
@@ -706,13 +748,24 @@ class TestPanelRule:
     @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
     def test_degree_31_is_exact_on_every_panel(self, lo, hi, breaks):
         # sum_j w_j x_j^k over a panel, x the panel mapped to [-1, 1], is (b - a)/2 int x^k
-        left, right, t, w = panels(lo, hi, breaks)
+        (left, right, t, w), _ = pieces(lo, hi, breaks)
         half = 0.5 * (right - left)
         x = (t - 0.5 * (left + right)[:, None]) / half[:, None]
         k = np.arange(32)
         got = np.einsum("pj,pjk->pk", w, x[:, :, None] ** k)
         exact = half[:, None] * np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
-        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * half.max())
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * half.max(initial=0.0))
+
+    @pytest.mark.parametrize("lo, hi, breaks", WINDOWS)
+    def test_each_side_is_exact_up_to_degree_5_in_tau(self, lo, hi, breaks):
+        # (tau - b)^d = (+-H)^d s^(5d) times the Jacobian 5 H s^4 has degree 5d + 4 <= 31 in s
+        _, sides = pieces(lo, hi, breaks)
+        assert len(sides) == 2 * len(breaks)
+        for b, end, t, w in sides:
+            x = (t - b) / (end - b)  # in (0, 1)
+            width = abs(end - b)
+            for d in range(6):
+                assert w @ x**d == pytest.approx(width / (d + 1), rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -720,34 +773,38 @@ class TestPanelRule:
         width=st.floats(2.0, 24.0),
         fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
     )
-    def test_every_inner_break_gets_the_innermost_panel_on_each_side(self, lo, width, fractions):
+    def test_every_inner_break_gets_both_sides(self, lo, width, fractions):
+        # each side is 1 wide, or less by the window end or half the gap to the neighbouring break
         hi = lo + width
         breaks = sorted(lo + f * width for f in fractions)
         assume(all(b - a == 0 or b - a > 1e-6 for a, b in zip(breaks, breaks[1:])))
-        left, right, _, _ = panels(lo, hi, breaks)
-        innermost = np.isclose(right - left, solver._INNERMOST, rtol=1e-6, atol=0)
-        for b in breaks:
-            assert np.any(innermost & np.isclose(right, b, rtol=0, atol=1e-12))
-            assert np.any(innermost & np.isclose(left, b, rtol=0, atol=1e-12))
+        _, sides = pieces(lo, hi, breaks)
+        got = [w.sum() for _, _, _, w in sides]
+        want = [h for pair in side_widths(lo, hi, breaks) for h in pair]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("b", [0.3, 0.30000000001, 0.29999999999])
     def test_a_break_near_a_plain_edge_cuts_no_sliver(self, b):
-        # the plain edge 0.3 gives way to a break within _INNERMOST of it
-        left, right, t, _ = panels(-0.3, 0.9, [b])
-        assert t.size == 864
-        assert np.min(right - left) == pytest.approx(solver._INNERMOST, rel=1e-6)
+        # the plain edge 0.3 gives way to a break near it: two sides fill the window
+        t, w = solver.panel_rule(-0.3, 0.9, [b])
+        assert t.size == 2 * solver._SIDE_NODES.size
+        _, sides = pieces(-0.3, 0.9, [b])
+        np.testing.assert_allclose([end for _, end, _, _ in sides], [-0.3, 0.9], rtol=0, atol=1e-15)
+        assert w.sum() == pytest.approx(1.2, rel=1e-14)
 
-    @pytest.mark.parametrize("lo, hi, b", [(-0.3, 0.9, -0.3 + 1e-12), (-0.3, 0.9, 0.9 - 1e-12),
-                                           (-0.3, 0.9, -0.3 + 1.5e-8), (-0.3, 0.9, 0.9 - 1.5e-8)])
-    def test_a_break_near_a_window_end_cuts_no_sliver(self, lo, hi, b):
-        # an edge within _INNERMOST inside a window end gives way to that end;
-        # the grading on the break's inner side stays
-        left, right, _, w = panels(lo, hi, [b])
-        assert np.min(right - left) == pytest.approx(solver._INNERMOST, rel=1e-6)
+    @pytest.mark.parametrize("lo, hi, b", [
+        *((-8.0, 8.0, b) for b in (0.3, 0.30000000001, 0.003, 0.0625, -0.9997, 1e-12)),  # 0 or -1 inside a side
+        (-0.3, 0.9, -0.3 + 1e-12), (-0.3, 0.9, 0.9 - 1e-12), (-0.3, 0.9, -0.3 + 1.5e-8), (-0.3, 0.9, 0.9 - 1.5e-8),
+    ])
+    def test_no_plain_edge_survives_inside_a_side(self, lo, hi, b):
+        # a plain edge inside a side gives way to it, and a side towards a near window end reaches it
+        (left, right, _, _), sides = pieces(lo, hi, [b])
+        [(below, above)] = side_widths(lo, hi, [b])
+        assert [w.sum() for _, _, _, w in sides] == pytest.approx([below, above], rel=1e-14)
+        ends = np.concatenate([left, right])
+        assert not np.any((b - below + 1e-14 < ends) & (ends < b + above - 1e-14))
+        _, w = solver.panel_rule(lo, hi, [b])
         assert w.sum() == pytest.approx(hi - lo, rel=1e-14)
-        inner = right if b - lo < hi - b else left
-        inward = math.copysign(solver._INNERMOST, 0.5 * (lo + hi) - b)
-        assert np.any(np.isclose(inner, b + inward, rtol=0, atol=1e-15))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -766,8 +823,13 @@ class TestPanelRule:
             elif kind == "near" and breaks:
                 b = breaks[-1] + x * 1e-7
             breaks.append(b)
-        for got, want in zip(solver.panel_rule(lo, hi, breaks), loop_panel_rule(lo, hi, breaks)):
-            np.testing.assert_array_equal(got, want)
+        t, w = solver.panel_rule(lo, hi, breaks)
+        assert np.all(np.diff(t) >= 0)
+        want_t, want_w = loop_panel_rule(lo, hi, breaks)
+        # the same nodes and weights; ties at a break may come in either order
+        got, want = np.lexsort((w, t)), np.lexsort((want_w, want_t))
+        np.testing.assert_array_equal(t[got], want_t[want])
+        np.testing.assert_array_equal(w[got], want_w[want])
 
     @pytest.mark.parametrize("b", [-9.0, -4.0, 4.0, 30.0])
     def test_break_outside_the_window_adds_no_nodes(self, b):
@@ -775,6 +837,60 @@ class TestPanelRule:
         t0, w0 = solver.panel_rule(-4.0, 4.0)
         np.testing.assert_array_equal(t, t0)
         np.testing.assert_array_equal(w, w0)
+
+
+KINK_ROWS = np.array([-3.0, -0.7, -0.01, 0.0, 1e-5, 0.3, 1.0, 2.5])
+
+
+def kink(p: int, a: float, b: float):
+    """sign(t - b) |erf(a (t - b))|^(1/p) for odd p, |erf(a (t - b))|^(2/p) for even p: a kink at b."""
+    def f(t):
+        e = erf(a * (np.asarray(t, dtype=float) - b))
+        return np.sign(e) * np.abs(e) ** (1.0 / p) if p % 2 else np.abs(e) ** (2.0 / p)
+    return f
+
+
+@functools.lru_cache(maxsize=None)
+def kink_reference(p: int, a: float) -> np.ndarray:
+    """K of the kink at 0 on KINK_ROWS, by mpmath.quad at 30 digits; K commutes with shifts."""
+    with mpmath.workdps(30):
+        power = mpmath.mpf(1 if p % 2 else 2) / p
+
+        def f(tau):
+            v = abs(mpmath.erf(a * tau)) ** power
+            return mpmath.sign(tau) * v if p % 2 else v
+
+        def K(r):
+            splits = sorted({mpmath.mpf(0), r})
+            integral = mpmath.quad(lambda tau: f(tau) * mpmath.exp(-((r - tau) ** 2)), [-mpmath.inf, *splits, mpmath.inf])
+            return float(integral / mpmath.sqrt(mpmath.pi))
+
+        return np.array([K(mpmath.mpf(r)) for r in KINK_ROWS])
+
+
+def solve_window_rows(b: float) -> np.ndarray:
+    """KINK_ROWS + b, then -10 and 10: the rows span the solve grid's, so the window is [-22, 22] and
+    its plain edges are the integers."""
+    return np.concatenate([KINK_ROWS + b, [-10.0, 10.0]])
+
+
+class TestKinkFamily:
+    # the sides of a break take the kink phi = psi^(1/p) out; the last four b put
+    # a plain edge (0 or -1) inside a side, where it must give way
+    @pytest.mark.parametrize("b", [0.0, 0.37, 1e-12, 0.003, 0.0625, -0.9997])
+    @pytest.mark.parametrize("a", [0.6, 1.3, 2.0])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
+    def test_kink_matches_mpmath(self, p, a, b):
+        got = solver.apply_K_panels(kink(p, a, b), solve_window_rows(b), [b])[:-2]
+        np.testing.assert_allclose(got, kink_reference(p, a), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("a", [0.6, 1.3, 2.0])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_a_kernel_serves_a_kink_within_the_break_tolerance(self, p, a):
+        # fixed_point_iterate keeps a kernel while the breaks move by at most _BREAK_TOL
+        b = solver._BREAK_TOL
+        got = solver.apply_K_panels(kink(p, a, b), solve_window_rows(b), [0.0])[:-2]
+        np.testing.assert_allclose(got, kink_reference(p, a), rtol=0, atol=1e-12)
 
 
 class TestBandedKernel:
@@ -817,9 +933,9 @@ class TestBandedKernel:
     @example(ts=np.linspace(-2.0, 2.0, 161), breaks=[8.3], xi=1.5, halfwidth=6.5)  # 0.2 from the window end
     @example(ts=np.linspace(-2.0, 2.0, 161), breaks=[-13.9, 13.7], xi=0.5, halfwidth=12.0)
     @example(ts=np.linspace(-10.0, 10.0, 801), breaks=[], xi=1.0, halfwidth=12.0)  # no breaks
-    @example(ts=solver.panel_rule(-2.0, 2.0, [0.3])[0], breaks=[0.3], xi=1.0, halfwidth=12.0)  # graded rows
+    @example(ts=solver.panel_rule(-2.0, 2.0, [0.3])[0], breaks=[0.3], xi=1.0, halfwidth=12.0)  # rows on the sides
     def test_matches_dense_kernel_for_any_break_set(self, ts, breaks, xi, halfwidth):
-        # compressed break panels, a narrowed band: still the dense sum to rounding
+        # substituted break sides, a narrowed band: still the dense sum to rounding
         f = kinked_block(xi)
         got = solver.apply_K_panels(f, ts, breaks, halfwidth)
         assert got.shape == ts.shape + (2,)
