@@ -14,15 +14,18 @@ sign.  The remaining functions verify
 candidates: equation residual, the integral conservation laws
 (phi^p, H_n)_1 = (phi, V_n)_{1/2} and boundary-limit diagnostics.
 
-Off-grid evaluation of iterates goes through a cubic spline of the p-th
-power rather than of phi itself: the power is smooth even where phi has a
-fractional-power zero, so the root of the spline keeps full accuracy near
-sign changes (plain interpolation of phi would lose ~h^(1/3) there).  The
-spline is the not-a-knot cubic on evenly spaced nodes, solved with numpy
-alone; uneven nodes, or fewer than 4, are rejected.
+Off-grid evaluation of iterates goes through an interpolant of the p-th
+power rather than of phi itself: phi^p = K phi is entire even where phi
+has a fractional-power zero, so the root of the interpolant keeps full
+accuracy near sign changes (plain interpolation of phi would lose
+~h^(1/3) there).  Each grid interval takes the degree-7 polynomial through
+the 8 nearest nodes, so the error is O(h^8) and needs no global solve
+(Berrut & Trefethen, SIAM Rev. 46, 2004); uneven nodes, or fewer than 4,
+are rejected.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -522,76 +525,69 @@ def _default_even_template(t):
     return np.where(np.asarray(t, dtype=float) >= 0, 1.0, -1.0)
 
 
-# M_{i-1} + 4 M_i + M_{i+1} = b_i on the whole line is solved by M = g * b with
-# g_k = (-r)^|k| / (2 sqrt 3), r = 2 - sqrt 3, and its homogeneous solutions are
-# (-r)^i and (-r)^-i.  sum |g_k| = 1/2, so the sum rounds by about 2^-53 max |b|;
-# the terms past k = 32 add less than r^33 / (1 - r) < 2^-60 max |b|, and the
-# homogeneous terms past i = 32 as little of theirs, so both are cut there.
-_SPLINE_R = 2.0 - math.sqrt(3.0)
-_SPLINE_TAPS = 32
-_SPLINE_DECAY = (-_SPLINE_R) ** np.arange(_SPLINE_TAPS + 1)
-_SPLINE_INVERSE = np.concatenate([_SPLINE_DECAY[:0:-1], _SPLINE_DECAY]) / (2.0 * math.sqrt(3.0))
+_STENCIL = 8  # nodes per interpolating polynomial of power_interpolant: degree 7, error O(h^8)
 
 
-def _not_a_knot_moments(y, h: float) -> np.ndarray:
-    """Second derivatives M of the not-a-knot cubic spline through y on nodes of step h.
+@functools.cache
+def _stencil_maps(m: int) -> np.ndarray:
+    """maps[k] takes values at y = -k, .., m - 1 - k to the coefficients of y^0 .. y^(m-1) through them.
 
-    The rows M_{i-1} + 4 M_i + M_{i+1} = 6 (y_{i-1} - 2 y_i + y_{i+1}) / h^2
-    are solved by the line inverse plus a (-r)^i + b (-r)^(n-1-i), with a
-    and b fixed by the not-a-knot rows M_0 - 2 M_1 + M_2 = 0 and
-    M_{n-3} - 2 M_{n-2} + M_{n-1} = 0: no Python loop and no banded solve.
+    Column j of maps[k] is the Lagrange polynomial of the j-th node: the
+    integer polynomial prod_{l != j} (y - y_l), exact in floats, over the
+    integer prod_{l != j} (j - l), so each entry is rounded once.  The
+    inverse of the Vandermonde matrix of y = 0 .. 7 is off by up to 3e-11.
+    Rows past m are zero, so every stencil size fills the same _STENCIL rows.
     """
-    n = y.size
-    b = (6.0 / (h * h)) * (y[:-2] - 2.0 * y[1:-1] + y[2:])  # rows 1 .. n-2
-    M = np.convolve(b, _SPLINE_INVERSE)[_SPLINE_TAPS - 1 : _SPLINE_TAPS - 1 + n]
-    # x_0 - 2 x_1 + x_2 is (1 + r)^2 for x_i = (-r)^i and c (1 + r)^2 for (-r)^(n-1-i),
-    # and the reverse at the far end: a symmetric 2x2 system for a and b
-    e0, e1 = M[0] - 2.0 * M[1] + M[2], M[-3] - 2.0 * M[-2] + M[-1]
-    c = (-_SPLINE_R) ** (n - 3)
-    scale = -1.0 / ((1.0 + _SPLINE_R) ** 2 * (1.0 - c * c))
-    m = min(n, _SPLINE_TAPS + 1)
-    M[:m] += scale * (e0 - c * e1) * _SPLINE_DECAY[:m]
-    M[n - m :] += scale * (e1 - c * e0) * _SPLINE_DECAY[m - 1 :: -1]
-    return M
+    ys = np.arange(m) - np.arange(m - 1)[:, None]  # row k: the nodes of maps[k]
+    numerators = np.zeros((m - 1, m, _STENCIL))  # [k, j, power of y]
+    numerators[..., 0] = 1.0
+    for l in range(m):  # times (y - y_l) for every node j but l
+        times = np.concatenate([np.zeros((m - 1, m, 1)), numerators[..., :-1]], axis=-1)
+        times -= ys[:, l, None, None] * numerators
+        numerators = np.where(np.arange(m)[:, None] == l, numerators, times)
+    denominators = [(-1) ** (m - 1 - j) * math.factorial(j) * math.factorial(m - 1 - j) for j in range(m)]
+    return np.swapaxes(numerators / np.array(denominators, dtype=float)[:, None], 1, 2)
 
 
 def power_interpolant(nodes, values, p: int, sign_template=None):
-    """Evaluate a grid iterate anywhere via a cubic spline of its p-th power.
+    """Evaluate a grid iterate anywhere via a local degree-7 interpolant of its p-th power.
 
-    The spline is the not-a-knot cubic through the signed powers
-    v |v|^(p-1) on evenly spaced nodes; the returned callable maps back with
-    the real p-th root (odd p) or with the given sign template (even p).
-    Outside the grid the edge powers extend as constants.  The nodes must
-    be at least 4 and rise by one step h = (last - first) / (n - 1), each
-    gap within 64 eps max |node| of h, as linspace and arange round them,
-    and each must have a value with a finite power; other input raises
-    ValueError.  The second derivatives are solved on the
-    step h and each piece takes its own gap, so the spline meets every node
-    value to rounding.
+    On each interval [x_i, x_i+1] the interpolant is the polynomial through
+    the signed powers v |v|^(p-1) at the _STENCIL = 8 nearest nodes, x_i-3
+    .. x_i+4, moved inside at the two ends, or at all n nodes when n < 8;
+    the returned callable maps back with the real p-th root (odd p) or with
+    the given sign template (even p).  Outside the grid the edge powers
+    extend as constants.  The nodes must be at least 4 and rise by one step
+    h = (last - first) / (n - 1), each gap within 64 eps max |node| of h, as
+    linspace and arange round them, and each must have a value with a
+    finite power; other input raises ValueError.  Each piece is stored as
+    coefficients in y = (t - x_i) / h, with its node's power as the
+    constant term, so it meets every node value exactly.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     n = nodes.size
     if n < 4:
-        raise ValueError(f"the power spline needs at least 4 nodes, got {n}")
+        raise ValueError(f"the power interpolant needs at least 4 nodes, got {n}")
     lo, hi = float(nodes[0]), float(nodes[-1])
     h = (hi - lo) / (n - 1)
     gaps = np.diff(nodes)
     if not (h > 0 and np.all(np.abs(gaps - h) <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi)))):
-        raise ValueError(f"the power spline needs evenly spaced increasing nodes, got gaps "
+        raise ValueError(f"the power interpolant needs evenly spaced increasing nodes, got gaps "
                          f"from {float(np.min(gaps))} to {float(np.max(gaps))}")
     powers = values * np.abs(values) ** (p - 1)
     if powers.shape != nodes.shape or not np.all(np.isfinite(powers)):
-        raise ValueError("the power spline needs one value per node, with a finite p-th power")
-    M = _not_a_knot_moments(powers, h)
-    # Taylor coefficients in t - nodes[i] of the cubic on [nodes[i], nodes[i+1]],
-    # and a constant piece n-1 from the last node on; knots[i+1] ends piece i.
-    # The gap of each piece, not h, makes it end at the next node value.
-    coeffs = np.zeros((4, n))
+        raise ValueError("the power interpolant needs one value per node, with a finite p-th power")
+    # column i: the piece on [nodes[i], nodes[i+1]], which takes the map of stencil offset
+    # k = i - (first stencil node); column n-1 is the constant from the last node on
+    m = min(n, _STENCIL)
+    maps = _stencil_maps(m)
+    coeffs = np.zeros((_STENCIL, n))
+    coeffs[:, :3] = (maps[:3] @ powers[:m]).T  # the first three pieces, k = 0, 1, 2
+    coeffs[:, n - 4 : n - 1] = (maps[-3:] @ powers[-m:]).T  # the last three, k = m-4 .. m-2
+    if n >= _STENCIL:
+        coeffs[:, 3 : n - 4] = maps[3] @ np.lib.stride_tricks.sliding_window_view(powers, _STENCIL).T
     coeffs[0] = powers
-    coeffs[1, :-1] = np.diff(powers) / gaps - gaps * (2.0 * M[:-1] + M[1:]) / 6.0
-    coeffs[2, :-1] = 0.5 * M[:-1]
-    coeffs[3, :-1] = np.diff(M) / (6.0 * gaps)
     knots = np.append(nodes, np.inf)
 
     def phi(t):
@@ -601,9 +597,12 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
         i = ((x - lo) / h).astype(np.intp)
         i += x >= knots.take(i + 1, mode="clip")  # a node whose quotient rounds below its index
         # the offset from the node itself: (x - lo) / h - i loses ~400 ulp at the far end
-        d = x - nodes.take(i, mode="clip")
-        c0, c1, c2, c3 = coeffs.take(i, axis=1, mode="clip")
-        sv = c0 + d * (c1 + d * (c2 + d * c3))
+        y = (x - nodes.take(i, mode="clip")) / h
+        c = coeffs.take(i, axis=1, mode="clip")
+        sv = c[-1]  # a row of this call's own gather, so Horner runs in place
+        for row in c[-2::-1]:
+            sv *= y
+            sv += row
         if p % 2 == 1:
             out = np.sign(sv) * np.abs(sv) ** (1.0 / p)
         else:
@@ -682,13 +681,8 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     pair on the grid (_preconditioner).  So the mixing runs on
     g = phi^p + P f with the residual P f: with the differences dg, dPf of
     the last _ANDERSON_DEPTH steps, gamma minimises |P f - dPf gamma| and
-    psi <- g - dg gamma, and the convergence turns superlinear.  The least
-    squares drops the singular directions of dPf below about cfg.tol / 10:
-    K commutes with shifts, so a kink off the grid's centre has a
-    translation mode that leaves the residual flat, and a gamma fitted to
-    residual differences at the noise level (about 1e-12) moved such a
-    kink's zero by up to 6e-6 where the plain map moves it by 1e-9.  A mixed psi below
-    64 eps K|phi| snaps to 0, as K phi does.  The first step, and
+    psi <- g - dg gamma, and the convergence turns superlinear.  A mixed
+    psi below 64 eps K|phi| snaps to 0, as K phi does.  The first step, and
     every step after a restart, is the plain map psi <- K phi; the history
     is cleared whenever the grid residual fails to decrease, so a growing
     run takes plain steps, and _ANDERSON_DEPTH = 0 is the plain map.
@@ -751,9 +745,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         psi = A
         if len(history) > 1:
             G, F = (np.diff(np.array(v), axis=0) for v in zip(*history))
-            # fit no direction whose residual differences are below tol/10, far below what the
-            # stopping rule can see: there gamma would chase noise along the translation mode
-            psi = power + pf - np.linalg.lstsq(F.T, pf, rcond=0.1 * cfg.tol / np.linalg.norm(F))[0] @ G
+            psi = power + pf - np.linalg.lstsq(F.T, pf, rcond=None)[0] @ G
             psi = np.where(np.abs(psi) < noise, 0.0, psi)
         if even:
             root = sign_template(ts) * np.clip(psi, 0.0, None) ** (1.0 / cfg.p)

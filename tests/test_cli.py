@@ -149,18 +149,25 @@ class TestSolveCommand:
             header = fh.readline().strip()
         assert header == "t,phi,Kphi,phi_p,residual"
 
-    def test_midpoint_residual_falls_as_h4(self, capsys, tmp_path, monkeypatch):
+    def test_midpoint_residual_is_at_the_tol_level(self, capsys, tmp_path, monkeypatch):
         # the grid residual measures the iteration only; off the grid the
-        # cubic spline of phi^p leaves an O(h^4) error that halving h cuts ~16x
+        # degree-7 interpolant of phi^p leaves an O(h^8) error, below tol at both steps
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
-        reports = {}
         for step in ("0.05", "0.025"):
             code, _, _ = run(["solve", "--p", "3", "--step", step, "--out-prefix", f"h{step}"], capsys)
             assert code == 0
-            reports[step] = json.loads((tmp_path / f"h{step}_verify.json").read_text())
-        coarse, fine = reports["0.05"]["midpoint_residual"], reports["0.025"]["midpoint_residual"]
-        assert coarse > 100 * reports["0.05"]["max_residual"]
-        assert coarse / fine > 8
+            assert json.loads((tmp_path / f"h{step}_verify.json").read_text())["midpoint_residual"] < 1e-9
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_default_step_meets_the_laws_bound(self, p, capsys, tmp_path, monkeypatch):
+        # converged with exit 0 must mean criterion 7's laws bound of 1e-6 holds at the default step
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, out, _ = run(["solve", "--p", str(p), "--out-prefix", "d"], capsys)
+        assert code == 0 and "status=converged" in out
+        report = json.loads((tmp_path / "d_verify.json").read_text())
+        assert report["status"] == "converged"
+        assert max(report["conservation_laws"]) < 1e-6
+        assert report["midpoint_residual"] < 1e-9
 
     def test_even_p_artifacts_use_the_equations_power(self, capsys, tmp_path, monkeypatch):
         # the erf seed is infeasible for p = 2; its CSV, verify JSON and trace

@@ -13,7 +13,7 @@ from conftest import const_one, hermite_fn
 
 SQRT_PI = math.sqrt(math.pi)
 _GRID = np.linspace(-20.0, 20.0, 161)
-_POWER_SPLINE = solver.power_interpolant(_GRID, np.tanh(_GRID), 3)
+_POWER_INTERPOLANT = solver.power_interpolant(_GRID, np.tanh(_GRID), 3)
 
 
 class TestApplyKGrid:
@@ -69,13 +69,13 @@ class TestGaussMomentOrder:
         k=st.integers(min_value=0, max_value=3),
         x=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
         M=st.sampled_from([5, 32, 96]),
-        which=st.sampled_from(["erf", "tanh", "spline"]),
+        which=st.sampled_from(["erf", "tanh", "interpolant"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_t_major_reference(self, shape, data, k, x, M, which):
         t = data.draw(hnp.arrays(float, shape, elements=st.floats(-6.0, 6.0)))
         rule = basis.gauss_hermite_rule(M)
-        base = {"erf": erf, "tanh": np.tanh, "spline": _POWER_SPLINE}[which]
+        base = {"erf": erf, "tanh": np.tanh, "interpolant": _POWER_INTERPOLANT}[which]
         calls = []
 
         def f(tau):

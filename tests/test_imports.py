@@ -1,7 +1,7 @@
 """Import budget of a CLI process, measured in fresh interpreters.
 
 The package loads no scipy module: the Gauss-Hermite rules, erf, the zero
-locator and the power spline of an iterating solve use numpy and math only,
+locator and the power interpolant of an iterating solve use numpy and math only,
 so no subcommand and no library call below loads a scipy module at all.
 numpy.fft, which the fixed-point iteration's preconditioner uses, loads on
 the first iterating solve and not before: the package import and the
