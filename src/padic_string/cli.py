@@ -209,17 +209,16 @@ def cmd_interp(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    roots = heatflow.branching_roots(args.n)
+    u = heatflow.heat_polynomial_interpolant(args.n)
+    tracked = heatflow.track_zeros(u, args.n, args.eps)
     report = {
         "n": args.n,
         "eps": args.eps,
-        "lambda": [float(v) for v in roots],
-        "predicted": [float(v) for v in 0.5 * roots * math.sqrt(args.eps)],
+        "lambda": [float(v) for v in heatflow.branching_roots(args.n)],
+        "predicted": [float(v) for v in tracked.predicted],
+        "roots": [float(v) for v in tracked.roots],
+        "mismatch": tracked.mismatch,
     }
-    u = heatflow.heat_polynomial_interpolant(args.n)
-    tracked = heatflow.track_zeros(u, args.n, args.eps)
-    report["roots"] = [float(v) for v in tracked.roots]
-    report["mismatch"] = tracked.mismatch
     ladder = []
     for eps in (1e-2, 1e-3, 1e-4):
         tr = heatflow.track_zeros(u, args.n, eps)
@@ -424,6 +423,8 @@ def main(argv=None) -> int:
         parser.error(f"--alpha-sq must be finite and exceed 1, got {args.alpha_sq}")
     if args.command == "solve" and args.max_iter < 1:
         parser.error(f"--max-iter must be at least 1, got {args.max_iter}")
+    if args.command == "solve" and not args.halfwidth >= 8.0:
+        parser.error(f"--halfwidth must be at least 8, as the limits window is |t| >= 8, got {args.halfwidth}")
     if args.command == "interp" and not 0 <= args.x < math.inf:
         parser.error(f"--x must be finite and non-negative, got {args.x}")
     if args.command == "solve" and args.out is not None and args.approx is None:

@@ -81,22 +81,19 @@ def gauss_moment(f, t, rule: QuadratureRule, x: float = 1.0, k: int = 0):
     With k = 0 this is the heat flow of f at time x, so x = 1 gives (K f)(t);
     k >= 1 gives the kernel moments behind its t-derivatives.
 
-    f is called once, on a 1-D array in node-major order: all of t shifted
-    by the first node, then all of t shifted by the second, and so on, so
-    a sorted t gives sorted runs (cheap interval searches for a spline).
-    The sums are taken in t-major layout, one dot product per t.  A
-    non-finite integrand value raises EvaluationError naming the first
-    offending sample t - sqrt(x) u_i in t-major order (t first, then i).
+    f is called once, on a 1-D array in t-major order: t - sqrt(x) u_i
+    for every node u_i of the first t, then of the second, and so on.  The
+    sums are one dot product per t.  A non-finite integrand value raises
+    EvaluationError naming the first offending sample in that order.
     """
     t = np.asarray(t, dtype=float)
-    shifted = t.ravel() - math.sqrt(x) * rule.nodes[:, None]
+    shifted = t[..., None] - math.sqrt(x) * rule.nodes
     fv = np.asarray(f(shifted.ravel()), dtype=float).reshape(shifted.shape)
-    fv = np.ascontiguousarray(fv.T)
     bad = ~np.isfinite(fv)
     if bad.any():
-        node = float(shifted.T[bad][0])
+        node = float(shifted[bad][0])
         raise EvaluationError(f"non-finite integrand value at tau={node}", node)
-    out = fv.reshape(t.shape + (rule.nodes.size,)) @ (rule.weights * rule.nodes**k) / SQRT_PI
+    out = fv @ (rule.weights * rule.nodes**k) / SQRT_PI
     return out if out.shape else float(out)
 
 

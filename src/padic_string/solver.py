@@ -7,8 +7,8 @@ are assembled exactly (TruncatedSystem) and solved either in closed form
 for the four-unknown case (solve_3approx, which enumerates every branch of
 the truncated system) or by damped Newton iteration on the exact Jacobian
 (newton_solve).  For general p >= 2 a grid fixed-point iteration inverts
-the equation as phi <- p-th root of K phi, with Anderson mixing over the
-last few steps of the map preconditioned by K's plane-wave spectrum, and a
+the equation as phi <- p-th root of K phi, with a secant step (Anderson
+mixing of depth 1) on the map preconditioned by K's plane-wave spectrum, and a
 caller-supplied sign template in the even-p case where the root loses the
 sign.  The remaining functions verify
 candidates: equation residual, the integral conservation laws
@@ -612,9 +612,6 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     return phi
 
 
-_ANDERSON_DEPTH = 5  # the m of fixed_point_iterate's Anderson mixing: differences of past steps kept
-
-
 @dataclass
 class IterationResult:
     """Grid iterate, smooth evaluator, and convergence trace of the fixed point run."""
@@ -649,7 +646,7 @@ def _preconditioner(p: int, h: float, n: int):
 
 
 def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> IterationResult:
-    """Iterate phi <- signed p-th root of K phi on a uniform grid, with preconditioned Anderson mixing.
+    """Iterate phi <- signed p-th root of K phi on a uniform grid, with a preconditioned secant step.
 
     For odd p the root keeps the sign of K phi; for even p the sign comes
     from the template (default sgn(t)) and K phi must stay >= -tol, since a
@@ -666,7 +663,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     the run made that evaluator (never on the caller's seed), for
     apply_K_panels and residual on the grid at those breaks.
 
-    Each step is Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni,
+    The steps are Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni,
     SIAM J. Numer. Anal. 49, 2011) in the power variable psi = phi^p of the
     equation, on the map preconditioned by the paper's spectrum of K.  With
     A = K phi and f = A - phi^p on the grid, the plain map psi <- A has the
@@ -678,21 +675,21 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     about (sqrt kappa - 1)/(sqrt kappa + 1) per step, kappa = p/(p - 1).
     Newton's step for f there is P f with P = (I - K/p)^{-1}, the
     multiplier 1/(1 - e^{-xi^2/4}/p) on plane waves: one zero-padded FFT
-    pair on the grid (_preconditioner).  So the mixing runs on
-    g = phi^p + P f with the residual P f: with the differences dg, dPf of
-    the last _ANDERSON_DEPTH steps, gamma minimises |P f - dPf gamma| and
-    psi <- g - dg gamma, and the convergence turns superlinear.  A mixed
-    psi below 64 eps K|phi| snaps to 0, as K phi does.  The first step, and
-    every step after a restart, is the plain map psi <- K phi; the history
-    is cleared whenever the grid residual fails to decrease, so a growing
-    run takes plain steps, and _ANDERSON_DEPTH = 0 is the plain map.
+    pair on the grid (_preconditioner).  That leaves the mixing little to
+    do, so it has depth 1, a secant step: it runs on g = phi^p + P f with
+    the residual P f, and with the differences dg, dPf from the last step,
+    gamma = (dPf . P f)/(dPf . dPf) and psi <- g - gamma dg.  The first step,
+    and every step after a restart, is the plain map psi <- K phi; the last
+    step is forgotten whenever the grid residual fails to decrease, so a
+    growing run takes plain steps.  A psi below 64 eps K|phi|, the rounding
+    that the p-th root would amplify, snaps to 0.
     The run converges when the grid residual max |K phi - phi^p| of the
     current iterate (the trace's 'residual'; the preconditioned residual
     only steers the mixing) drops below cfg.tol; that iterate is returned
     and the step is declined, though the trace still records its 'change',
     the max change of phi the step would make (None on an infeasible step,
     which takes none).  Each trace entry also has 'depth', the number of
-    history differences its step mixed (0 for a plain step), and
+    history differences its step mixed (0 for a plain step, 1 for a secant), and
     'kernel_built', whether that iteration built a panel kernel.
     The change of phi, which stalls at eps^(1/p) at a zero on a grid node,
     decides only 'diverged'.  A seed with a non-finite value at a grid or
@@ -719,7 +716,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     status = "max_iter"
     iterations = 0
     apply_K = None
-    history = []  # (phi^p + P f, P f) of the latest iterates, oldest first
+    previous = None  # (phi^p + P f, P f) of the last step, None before the first and after a restart
     for it in range(cfg.max_iter):
         iterations = it + 1
         breaks = _refined_sign_changes(evaluate, ts, vals)
@@ -727,10 +724,6 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         if built:
             apply_K = _PanelKernel(ts, breaks)
         A, scale = apply_K(evaluate, with_size=True)
-        # the p-th root amplifies rounding noise near A = 0 (|eps|^(1/p) is
-        # ~1e-6 at double precision); snap sub-noise values to an exact zero
-        noise = 64 * np.finfo(float).eps * scale
-        A = np.where(np.abs(A) < noise, 0.0, A)
         power = _equation_power(vals, cfg.p)
         f = A - power
         eq_res = float(np.max(np.abs(f)))
@@ -739,20 +732,23 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
             status = "infeasible"
             break
         if trace and eq_res >= trace[-1]["residual"]:
-            history = []  # restart: mixing across a growing residual could fit its way onto phi = 0
+            previous = None  # restart: mixing across a growing residual could fit its way onto phi = 0
         pf = precondition(f)
-        history = (history + [(power + pf, pf)])[-1 - _ANDERSON_DEPTH :]
-        psi = A
-        if len(history) > 1:
-            G, F = (np.diff(np.array(v), axis=0) for v in zip(*history))
-            psi = power + pf - np.linalg.lstsq(F.T, pf, rcond=None)[0] @ G
-            psi = np.where(np.abs(psi) < noise, 0.0, psi)
+        g = power + pf
+        psi, depth = A, 0
+        if previous is not None:  # Anderson mixing of depth 1: the secant through the last step
+            dg, dpf = g - previous[0], pf - previous[1]
+            psi, depth = g - (dpf @ pf) / (dpf @ dpf) * dg, 1
+        previous = (g, pf)
+        # the p-th root amplifies rounding noise near psi = 0 (|eps|^(1/p) is
+        # ~1e-6 at double precision); snap sub-noise values to an exact zero
+        psi = np.where(np.abs(psi) < 64 * np.finfo(float).eps * scale, 0.0, psi)
         if even:
             root = sign_template(ts) * np.clip(psi, 0.0, None) ** (1.0 / cfg.p)
         else:
             root = np.sign(psi) * np.abs(psi) ** (1.0 / cfg.p)
         trace.append({"iteration": it, "change": float(np.max(np.abs(root - vals))), "residual": eq_res,
-                      "depth": len(history) - 1, "kernel_built": built})
+                      "depth": depth, "kernel_built": built})
         if eq_res < cfg.tol:
             status = "converged"
             break

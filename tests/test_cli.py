@@ -120,6 +120,22 @@ class TestSolveCommand:
         assert "grid step 0.03 does not divide" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_halfwidth_short_of_the_limits_window_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--p", "3", "--halfwidth", "5", "--out-prefix", "hw"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--halfwidth" in err and "|t| >= 8" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_halfwidth_at_the_limits_window_converges(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, _, _ = run(["solve", "--p", "3", "--halfwidth", "8", "--out-prefix", "hw"], capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "hw_verify.json").read_text())["status"] == "converged"
+
     def test_numerical_failure_exits_one(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise gaussop.EvaluationError("non-finite seed value at t=0.5", 0.5)

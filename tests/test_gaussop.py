@@ -61,7 +61,7 @@ class TestApplyKGrid:
 
 
 class TestGaussMomentOrder:
-    """gauss_moment evaluates node-major but sums exactly as the t-major formula."""
+    """gauss_moment calls f once, in t-major order, and sums exactly as the t-major formula."""
 
     @given(
         shape=hnp.array_shapes(min_dims=0, max_dims=2, max_side=8),

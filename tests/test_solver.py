@@ -492,6 +492,40 @@ def plain_map(p: int) -> tuple[list, np.ndarray]:
         evaluate = solver.power_interpolant(ts, vals, p)
 
 
+def secant_map(p: int) -> tuple[list, np.ndarray]:
+    """The preconditioned secant iteration from erf on the step-0.025 grid, written out.
+
+    As plain_map, with the mixed step: g = phi^p + P f with P f the
+    preconditioned residual, psi <- g - gamma dg with gamma = (dPf . P f) /
+    (dPf . dPf) from the differences to the last step, which a residual
+    that fails to fall clears.
+    """
+    ts = np.linspace(-10.0, 10.0, 801)
+    kernel = solver._PanelKernel(ts, [0.0])
+    precondition = solver._preconditioner(p, 0.025, ts.size)
+    vals, evaluate, trace, previous = erf(ts), erf, [], None
+    while True:
+        A, scale = kernel(evaluate, with_size=True)
+        power = vals * np.abs(vals) ** (p - 1)
+        res = float(np.max(np.abs(A - power)))
+        if trace and res >= trace[-1]["residual"]:
+            previous = None
+        pf = precondition(A - power)
+        psi, depth = A, 0
+        if previous is not None:
+            dg, dpf = power + pf - previous[0], pf - previous[1]
+            psi, depth = power + pf - (dpf @ pf) / (dpf @ dpf) * dg, 1
+        previous = (power + pf, pf)
+        psi = np.where(np.abs(psi) < 64 * np.finfo(float).eps * scale, 0.0, psi)
+        root = np.sign(psi) * np.abs(psi) ** (1.0 / p)
+        trace.append({"iteration": len(trace), "change": float(np.max(np.abs(root - vals))), "residual": res,
+                      "depth": depth, "kernel_built": not trace})
+        if res < 1e-10:
+            return trace, vals
+        vals = root
+        evaluate = solver.power_interpolant(ts, vals, p)
+
+
 class TestAndersonMixing:
     @pytest.mark.parametrize("p, bound", [(3, 13), (5, 11)])
     def test_centred_kink_takes_few_steps(self, p, bound):
@@ -500,10 +534,9 @@ class TestAndersonMixing:
         assert result.converged and result.iterations <= bound
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_depth_zero_is_the_plain_map(self, p, monkeypatch):
-        monkeypatch.setattr(solver, "_ANDERSON_DEPTH", 0)
-        result = solver.fixed_point_iterate(solver.SolverConfig(p, grid_step=0.025), erf)
-        trace, vals = plain_map(p)
+    def test_mixing_is_the_written_out_secant(self, p):
+        trace, vals = secant_map(p)
+        result = centred_kink(p)
         assert result.trace == trace
         np.testing.assert_array_equal(result.grid.values, vals)
 
@@ -518,7 +551,19 @@ class TestAndersonMixing:
 
     def test_trace_states_each_steps_depth(self):
         depths = [entry["depth"] for entry in centred_kink(3).trace]
-        assert depths[0] == 0 and depths == [min(i, solver._ANDERSON_DEPTH) for i in range(len(depths))]
+        assert depths == [0] + [1] * (len(depths) - 1)
+
+    def test_restart_takes_a_plain_step(self):
+        # from 1/2 + erf/2 with template +1 the residual of p = 4 grows for
+        # the first steps; each growth forgets the last step, so that step is plain
+        result = solver.fixed_point_iterate(
+            solver.SolverConfig(4), lambda t: 0.5 + 0.5 * erf(t), sign_template=const_one
+        )
+        residuals = [entry["residual"] for entry in result.trace]
+        depths = [entry["depth"] for entry in result.trace]
+        assert result.converged
+        assert depths == [0] + [int(now < before) for before, now in zip(residuals, residuals[1:])]
+        assert 0 in depths[1:] and 1 in depths
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_mixing_lands_on_the_plain_map_solution(self, p):
