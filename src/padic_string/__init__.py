@@ -38,7 +38,6 @@ from .solver import (
     exact_gaussian_solution,
     fixed_point_iterate,
     limit_diagnostics,
-    newton_solve,
     residual,
     solve_3approx,
 )

@@ -1,12 +1,10 @@
 """Nonlinear solvers for the Gaussian-convolution power equation K phi = phi^p.
 
-Three attack routes live here.  For p = 2, matching the Taylor expansion of
+Two attack routes live here.  For p = 2, matching the Taylor expansion of
 phi^2 against the exact Taylor action of K on Hermite data yields an
-infinite quadratic system in the Hermite coefficients a_n; its truncations
-are assembled exactly (TruncatedSystem) and solved either in closed form
-for the four-unknown case (solve_3approx, which enumerates every branch of
-the truncated system) or by damped Newton iteration on the exact Jacobian
-(newton_solve).  For general p >= 2 a grid fixed-point iteration inverts
+infinite quadratic system in the Hermite coefficients a_n; its truncation
+to four unknowns is solved in closed form (solve_3approx, which enumerates
+every branch).  For general p >= 2 a grid fixed-point iteration inverts
 the equation as phi <- p-th root of K phi, with a secant step (Anderson
 mixing of depth 1) on the map preconditioned by K's plane-wave spectrum, and a
 caller-supplied sign template in the even-p case where the root loses the
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,8 +33,6 @@ from numpy.polynomial.legendre import leggauss
 from .basis import (
     SQRT_PI,
     GridFunction,
-    HermiteSeries,
-    _conversion_matrix,
     gauss_hermite_rule,  # noqa: F401 -- unused here; perfbench/test_perfbench.py expects this binding
     hermite_table,
     modified_hermite_table,
@@ -45,13 +41,10 @@ from .gaussop import EvaluationError
 
 __all__ = [
     "SolverConfig",
-    "TruncatedSystem",
     "ApproxSolution3",
-    "NewtonResult",
     "IterationResult",
     "LimitReport",
     "solve_3approx",
-    "newton_solve",
     "power_interpolant",
     "detect_sign_changes",
     "panel_rule",
@@ -321,10 +314,10 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The power p, the stopping rule and the grid of the solvers.
+    """The power p, the stopping rule and the grid of fixed_point_iterate.
 
-    Newton and the fixed-point iteration stop once their residual max-norm
-    drops below tol, or after max_iter steps.  The fixed-point grid has step
+    The iteration stops once its residual max-norm drops below tol, or
+    after max_iter steps.  p must be at least 2.  The grid has step
     grid_step on [-grid_halfwidth, grid_halfwidth]; a step that does not
     divide the halfwidth is rejected, naming the nearest that does.
     """
@@ -336,8 +329,8 @@ class SolverConfig:
     grid_step: float = 0.05
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"power p must be a positive integer, got {self.p}")
+        if not (self.p >= 2 and float(self.p).is_integer()):
+            raise ValueError(f"power p must be an integer >= 2, got {self.p}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
@@ -350,45 +343,6 @@ class SolverConfig:
         if abs(self.grid_halfwidth / self.grid_step - n) > 1e-9 * n:
             raise ValueError(f"grid step {self.grid_step} does not divide the halfwidth "
                              f"{self.grid_halfwidth}; the nearest step that does is {self.grid_halfwidth / n}")
-
-
-class TruncatedSystem:
-    """The first N+1 equations of the p=2 coefficient system, a_{N+1}.. = 0.
-
-    With S_k(a) = sum_{m>=k, m=k mod 2} a_m c_{m,k} / 2^m the equations read
-    a_n = n! sum_{k+i=n} S_k(a) S_i(a).  The exact constant solution
-    a = (1, 0, ..., 0) has residual zero.
-    """
-
-    def __init__(self, N: int):
-        if N < 3:
-            raise ValueError(f"truncation order must be >= 3, got {N}")
-        self.N = N
-        self._fact = np.array([math.factorial(n) for n in range(N + 1)], dtype=float)
-        self._C = _conversion_matrix(N + 1, N + 1, signed=True) / self._fact[:, None]
-
-    def inner_sums(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if a.size != self.N + 1:
-            raise ValueError(f"coefficient vector must have length {self.N + 1}")
-        return self._C @ a
-
-    def rhs(self, a) -> np.ndarray:
-        S = self.inner_sums(a)
-        return self._fact * np.convolve(S, S)[: self.N + 1]
-
-    def residual(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=float) - self.rhs(a)
-
-    def jacobian(self, a) -> np.ndarray:
-        """The exact Jacobian I - 2 diag(n!) T(S) C of the quadratic residual.
-
-        T(S)[n, k] = S_{n-k} for k <= n is the lower-triangular Toeplitz
-        matrix of the inner sums, and C maps a to S.
-        """
-        S = self.inner_sums(a)
-        n = np.arange(self.N + 1)
-        return np.eye(self.N + 1) - 2.0 * self._fact[:, None] * (np.tril(S[n[:, None] - n]) @ self._C)
 
 
 @dataclass(frozen=True)
@@ -410,9 +364,6 @@ class ApproxSolution3:
 
     def coefficients(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.a2, self.a3])
-
-    def series(self) -> HermiteSeries:
-        return HermiteSeries(basis="H", coeffs=self.coefficients())
 
     def equation_residual(self) -> float:
         """Max violation of the defining equations of this branch."""
@@ -464,57 +415,6 @@ def solve_3approx() -> list[ApproxSolution3]:
     return sols
 
 
-@dataclass
-class NewtonResult:
-    """Outcome of a damped Newton run on a truncated system."""
-
-    series: HermiteSeries
-    status: str  # converged | diverged | singular
-    iterations: int
-    residual_norm: float
-    condition: float
-    trace: list = field(default_factory=list)
-
-
-def newton_solve(system: TruncatedSystem, init, cfg: SolverConfig) -> NewtonResult:
-    """Damped Newton iteration on the exact Jacobian (TruncatedSystem.jacobian).
-
-    Stops when the residual max-norm drops below cfg.tol; a Jacobian with
-    condition number above 1e12 yields status 'singular' and the current
-    iterate; exhausting max_iter yields 'diverged'.  Each trace entry has
-    the residual, the condition number of the Jacobian formed there and the
-    step length lam taken from there (NaN where none was).  The result's
-    condition is that of the last Jacobian formed, NaN if there was none.
-    """
-    a = np.asarray(init, dtype=float).copy()
-    if a.size != system.N + 1:
-        raise ValueError(f"initial vector must have length {system.N + 1}")
-    trace = []
-    cond = math.nan
-    for it in range(cfg.max_iter):
-        r = system.residual(a)
-        rn = float(np.max(np.abs(r)))
-        entry = {"iteration": it, "residual": rn, "condition": math.nan, "lam": math.nan}
-        trace.append(entry)
-        if rn < cfg.tol:
-            return NewtonResult(HermiteSeries("H", a), "converged", it, rn, cond, trace)
-        J = system.jacobian(a)
-        cond = entry["condition"] = float(np.linalg.cond(J))
-        if not np.isfinite(cond) or cond > 1e12:
-            return NewtonResult(HermiteSeries("H", a), "singular", it, rn, cond, trace)
-        step = np.linalg.solve(J, r)
-        lam = 1.0
-        while True:
-            candidate = a - lam * step
-            if float(np.max(np.abs(system.residual(candidate)))) < rn or lam <= 1.0 / 64:
-                break
-            lam /= 2.0
-        entry["lam"] = lam
-        a = candidate
-    rn = float(np.max(np.abs(system.residual(a))))
-    return NewtonResult(HermiteSeries("H", a), "diverged", cfg.max_iter, rn, cond, trace)
-
-
 def _equation_power(v, p: int):
     """phi^p of the equation: the signed power v |v|^(p-1), and its modulus for even p."""
     power = v * np.abs(v) ** (p - 1)
@@ -556,13 +456,14 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     the signed powers v |v|^(p-1) at the _STENCIL = 8 nearest nodes, x_i-3
     .. x_i+4, moved inside at the two ends, or at all n nodes when n < 8;
     the returned callable maps back with the real p-th root (odd p) or with
-    the given sign template (even p).  Outside the grid the edge powers
-    extend as constants.  The nodes must be at least 4 and rise by one step
-    h = (last - first) / (n - 1), each gap within 64 eps max |node| of h, as
-    linspace and arange round them, and each must have a value with a
-    finite power; other input raises ValueError.  Each piece is stored as
-    coefficients in y = (t - x_i) / h, with its node's power as the
-    constant term, so it meets every node value exactly.
+    the sign template (even p; default sgn(t), as in fixed_point_iterate).
+    Outside the grid the edge powers extend as constants.  The nodes must be
+    at least 4 and rise by one step h = (last - first) / (n - 1), each gap
+    within 64 eps max |node| of h, as linspace and arange round them, and
+    each must have a value with a finite power; other input raises
+    ValueError.  Each piece is stored as coefficients in y = (t - x_i) / h,
+    with its node's power as the constant term, so it meets every node
+    value exactly.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -578,6 +479,8 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     powers = values * np.abs(values) ** (p - 1)
     if powers.shape != nodes.shape or not np.all(np.isfinite(powers)):
         raise ValueError("the power interpolant needs one value per node, with a finite p-th power")
+    if p % 2 == 0 and sign_template is None:
+        sign_template = _default_even_template
     # column i: the piece on [nodes[i], nodes[i+1]], which takes the map of stencil offset
     # k = i - (first stencil node); column n-1 is the constant from the last node on
     m = min(n, _STENCIL)
@@ -621,7 +524,6 @@ class IterationResult:
     status: str  # converged | max_iter | diverged | infeasible
     iterations: int
     trace: list
-    config: SolverConfig
 
     @property
     def converged(self) -> bool:
@@ -695,8 +597,6 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     decides only 'diverged'.  A seed with a non-finite value at a grid or
     panel node raises EvaluationError naming the first such node.
     """
-    if cfg.p < 2:
-        raise ValueError("fixed-point iteration needs p >= 2")
     even = cfg.p % 2 == 0
     if even and sign_template is None:
         sign_template = _default_even_template
@@ -766,7 +666,6 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         status=status,
         iterations=iterations,
         trace=trace,
-        config=cfg,
     )
 
 

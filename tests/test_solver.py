@@ -17,83 +17,75 @@ from padic_string import basis, bvp, gaussop, solver
 from conftest import const_one
 
 
+def truncation_sums(a) -> np.ndarray:
+    """S_k(a), the monomial coefficients of the H-series with data a: its V-to-H conversion over k!."""
+    a = np.asarray(a, dtype=float)
+    fact = np.array([math.factorial(k) for k in range(a.size)], dtype=float)
+    return basis.convert_b_to_a(basis.HermiteSeries("V", a), a.size - 1).coeffs / fact
+
+
+def truncation_residual(a) -> np.ndarray:
+    """The p=2 coefficient system cut at N = len(a) - 1: a_n - n! sum_{k+i=n} S_k(a) S_i(a).
+
+    The reference the closed-form branches are resubstituted into.
+    np.convolve, not polymul, which trims trailing zeros off the product.
+    """
+    a = np.asarray(a, dtype=float)
+    S = truncation_sums(a)
+    fact = np.array([math.factorial(n) for n in range(a.size)], dtype=float)
+    return a - fact * np.convolve(S, S)[: a.size]
+
+
 class TestTruncatedSystem:
     def test_constant_solution_is_exact_root(self):
-        system = solver.TruncatedSystem(6)
         a = np.zeros(7)
         a[0] = 1.0
-        assert np.max(np.abs(system.residual(a))) < 1e-12
+        assert np.max(np.abs(truncation_residual(a))) < 1e-12
 
     def test_zero_solution_is_exact_root(self):
-        system = solver.TruncatedSystem(4)
-        assert np.max(np.abs(system.residual(np.zeros(5)))) == 0.0
+        assert np.max(np.abs(truncation_residual(np.zeros(5)))) == 0.0
 
     def test_head_component_by_hand(self):
-        # at a = (4, 0, 0, 0) the head equation reads 4 - 4^2 = -12
-        system = solver.TruncatedSystem(3)
-        r = system.residual([4.0, 0.0, 0.0, 0.0])
-        assert r[0] == pytest.approx(-12.0)
+        # at a = (4, 0, 0, 0) the head equation reads 4 - 4^2 = -12, and the rest 0
+        np.testing.assert_array_equal(truncation_residual([4.0, 0.0, 0.0, 0.0]), [-12.0, 0.0, 0.0, 0.0])
 
     def test_inner_sums_match_monomial_coefficients(self):
         # S_k is exactly the k-th monomial coefficient of phi
-        system = solver.TruncatedSystem(5)
         rng = np.random.default_rng(23)
         a = rng.standard_normal(6)
-        S = system.inner_sums(a)
+        S = truncation_sums(a)
         series = basis.HermiteSeries("H", a)
         ts = np.linspace(-1.5, 1.5, 13)
         assert np.polynomial.polynomial.polyval(ts, S) == pytest.approx(series(ts), abs=1e-12)
 
     def test_rhs_matches_independent_polynomial_square(self):
         # square phi with plain polynomial multiplication and read off the
-        # Taylor data t^n/n!; must equal the double-sum assembly
-        system = solver.TruncatedSystem(3)
+        # Taylor data t^n/n!; must equal the convolution assembly
         rng = np.random.default_rng(29)
         for _ in range(10):
-            a = np.zeros(4)
-            a[:4] = rng.standard_normal(4)
-            S = system.inner_sums(a)
-            squared = np.polynomial.polynomial.polymul(S, S)
-            rhs = system.rhs(a)
+            a = rng.standard_normal(4)
+            squared = np.polynomial.polynomial.polymul(truncation_sums(a), truncation_sums(a))
+            rhs = a - truncation_residual(a)
             for n in range(4):
                 assert rhs[n] == pytest.approx(math.factorial(n) * squared[n], abs=1e-8)
 
     def test_wide_square_consistency(self):
         # the same check against a grid: sample phi^2 and fit monomials
-        system = solver.TruncatedSystem(3)
         rng = np.random.default_rng(31)
         a = rng.standard_normal(4)
         series = basis.HermiteSeries("H", a)
         ts = np.linspace(-1.0, 1.0, 41)
         fitted = np.polyfit(ts, series(ts) ** 2, 6)[::-1]
-        S = system.inner_sums(a)
+        S = truncation_sums(a)
         squared = np.polynomial.polynomial.polymul(S, S)
         assert fitted[:7] == pytest.approx(squared[:7], abs=1e-8)
 
     def test_inner_sums_are_scaled_conversion(self):
-        # S_k(a) is the k-th H-coefficient of the V-series with data a, over k!
+        # the conversion over k! is the double sum S_k(a) = sum_{m>=k, m=k mod 2} a_m c_{m,k} / 2^m
         N = 16
         a = np.random.default_rng(37).standard_normal(N + 1)
-        converted = basis.convert_b_to_a(basis.HermiteSeries("V", a), N).coeffs
-        fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=float)
-        assert solver.TruncatedSystem(N).inner_sums(a) == pytest.approx(converted / fact, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("N", [3, 8, 20])
-    def test_jacobian_is_exact(self, N):
-        # the residual is a - rhs(a) with rhs a quadratic form, so its Taylor
-        # expansion stops at second order: r(a + d) - r(a) - J(a) d = -rhs(d)
-        system = solver.TruncatedSystem(N)
-        rng = np.random.default_rng(41 + N)
-        for _ in range(5):
-            a, d = rng.standard_normal((2, N + 1))
-            step = system.jacobian(a) @ d
-            remainder = system.residual(a + d) - system.residual(a) - step
-            scale = max(np.max(np.abs(t)) for t in (system.residual(a + d), system.residual(a), step))
-            assert np.max(np.abs(remainder + system.rhs(d))) <= 1e-12 * scale
-
-    def test_minimum_order(self):
-        with pytest.raises(ValueError):
-            solver.TruncatedSystem(2)
+        double_sum = [math.fsum(a[m] * basis.coeff_c(m, k) / 2.0**m for m in range(k, N + 1)) for k in range(N + 1)]
+        assert truncation_sums(a) == pytest.approx(double_sum, rel=1e-12, abs=0)
 
 
 PRINTED_BRANCH_C = (0.7873, 0.6984, -0.4000, 1.219)
@@ -124,10 +116,9 @@ class TestThreeApproximation:
             assert s.equation_residual() < 1e-9
 
     def test_positive_head_branches_solve_full_truncation(self):
-        system = solver.TruncatedSystem(3)
         for s in solver.solve_3approx():
             if s.a0 > 0 or s.label == "trivial":
-                assert np.max(np.abs(system.residual(s.coefficients()))) < 1e-12
+                assert np.max(np.abs(truncation_residual(s.coefficients()))) < 1e-12
 
     def test_degenerate_branch_has_singular_odd_subsystem(self):
         for s in solver.solve_3approx():
@@ -138,7 +129,7 @@ class TestThreeApproximation:
 
     def test_parabolic_branch_approximates_half_one_minus_t_squared(self):
         sols = {s.label: s for s in solver.solve_3approx() if s.label == "parabolic"}
-        series = sols["parabolic"].series()
+        series = basis.HermiteSeries("H", sols["parabolic"].coefficients())
         ts = np.linspace(-1, 1, 21)
         assert series(ts) == pytest.approx(0.5 * (1 - ts**2), abs=1e-12)
 
@@ -146,87 +137,12 @@ class TestThreeApproximation:
         # squaring the degree-3 polynomial approximant reproduces the
         # coefficients (a0, a1, a2/2, a3/6) through order t^3
         plus = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
-        S = solver.TruncatedSystem(3).inner_sums(plus.coefficients())
+        S = truncation_sums(plus.coefficients())
         squared = np.polynomial.polynomial.polymul(S, S)
         taylor_line = [plus.a0, plus.a1, plus.a2 / 2.0, plus.a3 / 6.0]
         assert squared[:4] == pytest.approx(taylor_line, abs=1e-12)
         # and both match the printed four digits 0.7873, 0.6984, -0.2000, 0.2032
         assert squared[:4] == pytest.approx([0.7873, 0.6984, -0.2, 0.2032], abs=1e-4)
-
-
-class TestNewton:
-    def test_recovers_constant_quickly(self):
-        system = solver.TruncatedSystem(3)
-        cfg = solver.SolverConfig(p=2, tol=1e-12)
-        result = solver.newton_solve(system, [1.001, 0, 0, 0], cfg)
-        assert result.status == "converged"
-        assert result.iterations == 2
-        assert result.series.coeffs == pytest.approx([1, 0, 0, 0], abs=1e-10)
-
-    def test_trace_records_condition_and_step_length(self):
-        system = solver.TruncatedSystem(3)
-        result = solver.newton_solve(system, [1.001, 0, 0, 0], solver.SolverConfig(p=2, tol=1e-12))
-        *steps, last = result.trace
-        assert [e["iteration"] for e in result.trace] == list(range(result.iterations + 1))
-        assert steps[0]["condition"] == float(np.linalg.cond(system.jacobian([1.001, 0, 0, 0])))
-        assert all(1.0 <= e["condition"] < 1e12 and 0 < e["lam"] <= 1.0 for e in steps)
-        assert result.condition == steps[-1]["condition"]
-        # the converged iterate takes no step, so it forms no Jacobian
-        assert math.isnan(last["condition"]) and math.isnan(last["lam"])
-
-    def test_condition_is_nan_without_a_jacobian(self):
-        # the closed-form branch already solves the truncation: Newton stops at iteration 0
-        branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
-        result = solver.newton_solve(solver.TruncatedSystem(3), branch.coefficients(), solver.SolverConfig(p=2, tol=1e-12))
-        assert (result.status, result.iterations) == ("converged", 0)
-        assert math.isnan(result.condition)
-
-    def test_stays_on_closed_branch(self):
-        system = solver.TruncatedSystem(3)
-        cfg = solver.SolverConfig(p=2, tol=1e-12)
-        branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
-        result = solver.newton_solve(system, branch.coefficients(), cfg)
-        assert result.status == "converged"
-        assert result.series.coeffs == pytest.approx(branch.coefficients(), abs=1e-9)
-
-    def test_order_seven_converges_and_squares_consistently(self):
-        system = solver.TruncatedSystem(7)
-        cfg = solver.SolverConfig(p=2, tol=1e-12)
-        init = np.zeros(8)
-        branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
-        init[:4] = branch.coefficients()
-        result = solver.newton_solve(system, init, cfg)
-        assert result.status == "converged"
-        a = result.series.coeffs
-        S = system.inner_sums(a)
-        squared = np.polynomial.polynomial.polymul(S, S)
-        fact = np.array([math.factorial(n) for n in range(8)])
-        assert fact * squared[:8] == pytest.approx(a, abs=1e-9)
-
-    def test_singular_jacobian_stops_at_once(self):
-        # N = 20 from the head of the closed-form branch: the Jacobian there
-        # has condition 2.3e14 > 1e12, so no step is taken
-        branch = [s for s in solver.solve_3approx() if s.label == "branch_c" and s.a1 > 0][0]
-        init = np.zeros(21)
-        init[:4] = branch.coefficients()
-        result = solver.newton_solve(solver.TruncatedSystem(20), init, solver.SolverConfig(p=2, tol=1e-12))
-        assert (result.status, result.iterations) == ("singular", 0)
-        assert result.condition == pytest.approx(2.26e14, rel=1e-2)
-        np.testing.assert_array_equal(result.series.coeffs, init)
-        assert math.isnan(result.trace[0]["lam"])
-
-    def test_exhausted_iterations_end_diverged(self):
-        system = solver.TruncatedSystem(3)
-        result = solver.newton_solve(system, [3.0, 1.0, 0.5, 0.2], solver.SolverConfig(p=2, max_iter=1))
-        assert (result.status, result.iterations) == ("diverged", 1)
-        assert len(result.trace) == 1 and result.trace[0]["lam"] == 1.0
-        # the residual is that of the iterate returned, after the one step
-        assert result.residual_norm == float(np.max(np.abs(system.residual(result.series.coeffs))))
-        assert result.residual_norm > 1e-10
-
-    def test_wrong_init_length(self):
-        with pytest.raises(ValueError):
-            solver.newton_solve(solver.TruncatedSystem(3), [1.0], solver.SolverConfig(p=2))
 
 
 class TestPowerInterpolant:
@@ -243,6 +159,13 @@ class TestPowerInterpolant:
         phi = solver.power_interpolant(nodes, values, 2, sign_template=lambda t: np.where(np.asarray(t) >= 0, 1.0, -1.0))
         assert phi(2.0) == pytest.approx(math.sqrt(2.0), rel=1e-8)
         assert phi(-2.0) == pytest.approx(-math.sqrt(2.0), rel=1e-8)
+
+    def test_even_power_defaults_to_the_sign_of_t(self):
+        # without a template, even p takes fixed_point_iterate's default sgn(t)
+        x = np.linspace(-1, 1, 41)
+        phi = solver.power_interpolant(x, np.abs(x), 2)
+        assert phi(0.3) == pytest.approx(0.3, rel=1e-12)
+        assert phi(-0.3) == pytest.approx(-0.3, rel=1e-12)
 
     def test_constant_extension(self):
         nodes = np.linspace(-5, 5, 101)
@@ -1199,6 +1122,12 @@ class TestConfigValidation:
             solver.SolverConfig(p=2, grid_halfwidth=3.0)
         with pytest.raises(ValueError, match="grid halfwidth must be finite"):
             solver.SolverConfig(p=2, grid_halfwidth=math.inf)
+
+    @pytest.mark.parametrize("p", [1, 2.5, math.nan, math.inf])
+    def test_p_must_be_an_integer_of_at_least_two(self, p):
+        # a fractional p took neither the odd nor the even branch and failed inside the solve
+        with pytest.raises(ValueError, match="power p must be an integer >= 2"):
+            solver.SolverConfig(p=p)
 
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_max_iter_must_be_positive(self, max_iter):
