@@ -18,12 +18,11 @@ has a fractional-power zero, so the root of the interpolant keeps full
 accuracy near sign changes (plain interpolation of phi would lose
 ~h^(1/3) there).  Each grid interval takes the degree-7 polynomial through
 the 8 nearest nodes, so the error is O(h^8) and needs no global solve
-(Berrut & Trefethen, SIAM Rev. 46, 2004); uneven nodes, or fewer than 4,
+(Berrut & Trefethen, SIAM Rev. 46, 2004); uneven nodes, or fewer than 8,
 are rejected.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -199,9 +198,9 @@ class _PanelKernel:
     of the block reaches, first for |t - tau| <= _BAND.  An apply keeps that
     band when the tail it drops, at most e^{-_BAND^2} sum_j w_j |f_j|, is
     below one rounding unit of every row's sum_j e^{-(t - tau_j)^2} w_j |f_j|,
-    which the same product gives from |f| columns.  Otherwise, for an f that
-    grows too fast for that, the band of the whole halfwidth is built the
-    same way, once, and used.
+    which the same product gives from the row of |f|.  Otherwise, for an f
+    that grows too fast for that, the band of the whole halfwidth is built
+    the same way, once, and used.
     """
 
     def __init__(self, ts, breaks=(), halfwidth: float = 12.0):
@@ -252,34 +251,23 @@ class _PanelKernel:
             near[:, part] = weighted[:, cols] @ band.T
         return near
 
-    def _at_ts(self, near) -> np.ndarray:
-        out = np.empty_like(near)
-        out[:, self.order] = near
-        return out / SQRT_PI
-
-    def __call__(self, f, with_size: bool = False):
-        """K f at ts; with_size adds K|f| on the narrow band, the scale of K f's rounding."""
-        fv = np.asarray(f(self.tau), dtype=float)
-        if fv.shape[:1] != self.tau.shape:  # a constant f may return a scalar
-            fv = np.broadcast_to(fv, self.tau.shape + fv.shape[1:])
+    def __call__(self, f) -> tuple[np.ndarray, np.ndarray]:
+        """K f and, on the narrow band, K|f| at ts: the second is the scale of K f's rounding."""
+        fv = np.broadcast_to(np.asarray(f(self.tau), dtype=float), self.tau.shape)  # a constant f may return a scalar
         if not np.isfinite(fv).all():
-            node = float(self.tau[np.argmin(np.isfinite(fv).reshape(fv.shape[:1] + (-1,)).all(axis=-1))])
+            node = float(self.tau[np.argmin(np.isfinite(fv))])
             raise EvaluationError(f"non-finite integrand value at tau={node}", node)
-        weighted = np.multiply(self.w, fv.reshape(self.tau.size, -1).T, order="C")
-        r = weighted.shape[0]
-        size = np.abs(weighted)
-        near = self._product(self.narrow, np.concatenate([weighted, size]))  # K f rows, then K|f| rows
-        if self.full is not self.narrow and not np.all(
-            math.exp(-_BAND * _BAND) * size.sum(axis=1) <= 2.0**-53 * near[r:].min(axis=1)
-        ):
+        weighted = self.w * fv
+        weighted = np.stack([weighted, np.abs(weighted)])  # the rows of f and |f|
+        near = self._product(self.narrow, weighted)
+        tail = math.exp(-_BAND * _BAND) * weighted[1].sum()  # a bound on what the narrow band drops
+        if self.full is not self.narrow and not tail <= 2.0**-53 * near[1].min():
             if self.full is None:
                 self.full = self._band(self.halfwidth)
-            near[:r] = self._product(self.full, weighted)
-        shape = self.ts.shape + fv.shape[1:]
-        if not with_size:
-            return self._at_ts(near[:r]).T.reshape(shape)
-        both = self._at_ts(near)
-        return both[:r].T.reshape(shape), both[r:].T.reshape(shape)
+            near[:1] = self._product(self.full, weighted[:1])
+        out = np.empty_like(near)
+        out[:, self.order] = near / SQRT_PI
+        return out[0], out[1]
 
 
 def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
@@ -298,18 +286,16 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     unit of every row's sum_j e^{-(t-tau_j)^2} w_j |f_j|, so that the tail
     it drops cannot show, and sums over the whole window otherwise: an f
     growing like exp(c t^2) gets the full halfwidth, which must then be
-    wide enough for the kernel to beat the growth (see _PanelKernel).  An f
-    returning an (n, r) block of r functions gives an (len(ts), r) result
-    from one kernel.  A non-finite
-    value of f raises EvaluationError naming the first panel node where it
-    occurs.  An f that carries a _panel_kernel attribute, as the evaluator
-    a fixed_point_iterate run made does, has it reused when it fits ts,
-    breaks and halfwidth; any other call builds a kernel.
+    wide enough for the kernel to beat the growth (see _PanelKernel).  A
+    non-finite value of f raises EvaluationError naming the first panel
+    node where it occurs.  An f that carries a _panel_kernel attribute, as
+    the evaluator a fixed_point_iterate run made does, has it reused when
+    it fits ts, breaks and halfwidth; any other call builds a kernel.
     """
     kernel = getattr(f, "_panel_kernel", None)
     if kernel is None or not kernel.fits(ts, breaks, halfwidth):
         kernel = _PanelKernel(ts, breaks, halfwidth)
-    return kernel(f)
+    return kernel(f)[0]
 
 
 @dataclass(frozen=True)
@@ -318,8 +304,10 @@ class SolverConfig:
 
     The iteration stops once its residual max-norm drops below tol, or
     after max_iter steps.  p must be at least 2.  The grid has step
-    grid_step on [-grid_halfwidth, grid_halfwidth]; a step that does not
-    divide the halfwidth is rejected, naming the nearest that does.
+    grid_step on [-grid_halfwidth, grid_halfwidth]; a step that leaves
+    fewer nodes than one stencil of power_interpolant (_STENCIL = 8), or
+    that does not divide the halfwidth, is rejected, naming the largest
+    step that fits or the nearest that divides.
     """
 
     p: int
@@ -339,7 +327,11 @@ class SolverConfig:
             raise ValueError(f"grid halfwidth must be finite and >= 5, got {self.grid_halfwidth}")
         if not 0 < self.grid_step < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
-        n = max(1, round(self.grid_halfwidth / self.grid_step))
+        n = round(self.grid_halfwidth / self.grid_step)
+        if 2 * n + 1 < _STENCIL:
+            raise ValueError(f"grid step {self.grid_step} leaves {2 * n + 1} grid nodes, fewer than the "
+                             f"{_STENCIL} of one interpolation stencil; the largest step that fits is "
+                             f"{self.grid_halfwidth / (_STENCIL // 2)}")
         if abs(self.grid_halfwidth / self.grid_step - n) > 1e-9 * n:
             raise ValueError(f"grid step {self.grid_step} does not divide the halfwidth "
                              f"{self.grid_halfwidth}; the nearest step that does is {self.grid_halfwidth / n}")
@@ -428,18 +420,17 @@ def _default_even_template(t):
 _STENCIL = 8  # nodes per interpolating polynomial of power_interpolant: degree 7, error O(h^8)
 
 
-@functools.cache
-def _stencil_maps(m: int) -> np.ndarray:
-    """maps[k] takes values at y = -k, .., m - 1 - k to the coefficients of y^0 .. y^(m-1) through them.
+def _lagrange_maps() -> np.ndarray:
+    """maps[k] takes values at y = -k, .., 7 - k to the coefficients of y^0 .. y^7 through them.
 
     Column j of maps[k] is the Lagrange polynomial of the j-th node: the
     integer polynomial prod_{l != j} (y - y_l), exact in floats, over the
     integer prod_{l != j} (j - l), so each entry is rounded once.  The
     inverse of the Vandermonde matrix of y = 0 .. 7 is off by up to 3e-11.
-    Rows past m are zero, so every stencil size fills the same _STENCIL rows.
     """
+    m = _STENCIL
     ys = np.arange(m) - np.arange(m - 1)[:, None]  # row k: the nodes of maps[k]
-    numerators = np.zeros((m - 1, m, _STENCIL))  # [k, j, power of y]
+    numerators = np.zeros((m - 1, m, m))  # [k, j, power of y]
     numerators[..., 0] = 1.0
     for l in range(m):  # times (y - y_l) for every node j but l
         times = np.concatenate([np.zeros((m - 1, m, 1)), numerators[..., :-1]], axis=-1)
@@ -449,27 +440,29 @@ def _stencil_maps(m: int) -> np.ndarray:
     return np.swapaxes(numerators / np.array(denominators, dtype=float)[:, None], 1, 2)
 
 
+_STENCIL_MAPS = _lagrange_maps()
+
+
 def power_interpolant(nodes, values, p: int, sign_template=None):
     """Evaluate a grid iterate anywhere via a local degree-7 interpolant of its p-th power.
 
     On each interval [x_i, x_i+1] the interpolant is the polynomial through
     the signed powers v |v|^(p-1) at the _STENCIL = 8 nearest nodes, x_i-3
-    .. x_i+4, moved inside at the two ends, or at all n nodes when n < 8;
-    the returned callable maps back with the real p-th root (odd p) or with
-    the sign template (even p; default sgn(t), as in fixed_point_iterate).
-    Outside the grid the edge powers extend as constants.  The nodes must be
-    at least 4 and rise by one step h = (last - first) / (n - 1), each gap
-    within 64 eps max |node| of h, as linspace and arange round them, and
-    each must have a value with a finite power; other input raises
-    ValueError.  Each piece is stored as coefficients in y = (t - x_i) / h,
-    with its node's power as the constant term, so it meets every node
-    value exactly.
+    .. x_i+4, moved inside at the two ends; the returned callable maps back
+    with the real p-th root (odd p) or with the sign template (even p;
+    default sgn(t), as in fixed_point_iterate).  Outside the grid the edge
+    powers extend as constants.  The nodes must be at least 8 and rise by
+    one step h = (last - first) / (n - 1), each gap within 64 eps max |node|
+    of h, as linspace and arange round them, and each must have a value
+    with a finite power; other input raises ValueError.  Each piece is
+    stored as coefficients in y = (t - x_i) / h, with its node's power as
+    the constant term, so it meets every node value exactly.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     n = nodes.size
-    if n < 4:
-        raise ValueError(f"the power interpolant needs at least 4 nodes, got {n}")
+    if n < _STENCIL:
+        raise ValueError(f"the power interpolant needs at least {_STENCIL} nodes, got {n}")
     lo, hi = float(nodes[0]), float(nodes[-1])
     h = (hi - lo) / (n - 1)
     gaps = np.diff(nodes)
@@ -483,13 +476,10 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
         sign_template = _default_even_template
     # column i: the piece on [nodes[i], nodes[i+1]], which takes the map of stencil offset
     # k = i - (first stencil node); column n-1 is the constant from the last node on
-    m = min(n, _STENCIL)
-    maps = _stencil_maps(m)
     coeffs = np.zeros((_STENCIL, n))
-    coeffs[:, :3] = (maps[:3] @ powers[:m]).T  # the first three pieces, k = 0, 1, 2
-    coeffs[:, n - 4 : n - 1] = (maps[-3:] @ powers[-m:]).T  # the last three, k = m-4 .. m-2
-    if n >= _STENCIL:
-        coeffs[:, 3 : n - 4] = maps[3] @ np.lib.stride_tricks.sliding_window_view(powers, _STENCIL).T
+    coeffs[:, :3] = (_STENCIL_MAPS[:3] @ powers[:_STENCIL]).T  # the first three pieces, k = 0, 1, 2
+    coeffs[:, n - 4 : n - 1] = (_STENCIL_MAPS[-3:] @ powers[-_STENCIL:]).T  # the last three, k = 4, 5, 6
+    coeffs[:, 3 : n - 4] = _STENCIL_MAPS[3] @ np.lib.stride_tricks.sliding_window_view(powers, _STENCIL).T
     coeffs[0] = powers
     knots = np.append(nodes, np.inf)
 
@@ -623,7 +613,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         built = apply_K is None or not _breaks_agree(breaks, apply_K.breaks)
         if built:
             apply_K = _PanelKernel(ts, breaks)
-        A, scale = apply_K(evaluate, with_size=True)
+        A, scale = apply_K(evaluate)
         power = _equation_power(vals, cfg.p)
         f = A - power
         eq_res = float(np.max(np.abs(f)))

@@ -136,6 +136,21 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads((tmp_path / "hw_verify.json").read_text())["status"] == "converged"
 
+    def test_step_leaving_fewer_nodes_than_a_stencil_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # --step 5 leaves 5 grid nodes, short of the power interpolant's 8-node stencil
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["solve", "--p", "3", "--step", "5", "--out-prefix", "st"], capsys)
+        assert code == 2
+        assert "largest step that fits is 2.5" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_step_leaving_nine_nodes_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        code, _, _ = run(["solve", "--p", "3", "--step", "2.5", "--out-prefix", "st"], capsys)
+        assert code == 0
+        assert len((tmp_path / "st.csv").read_text().splitlines()) == 1 + 9
+
     def test_numerical_failure_exits_one(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise gaussop.EvaluationError("non-finite seed value at t=0.5", 0.5)

@@ -173,10 +173,9 @@ class TestPowerInterpolant:
         assert phi(9.0) == pytest.approx(math.tanh(5.0), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(4, 1000), lo=st.integers(-2**20, 2**20), step=st.integers(1, 2**12), seed=st.integers(0, 2**32))
-    @example(n=5, lo=0, step=256, seed=0)  # odd stencils of all n nodes
-    @example(n=7, lo=-3, step=1, seed=1)
+    @given(n=st.integers(8, 1000), lo=st.integers(-2**20, 2**20), step=st.integers(1, 2**12), seed=st.integers(0, 2**32))
     @example(n=8, lo=5, step=3, seed=2)  # one centred piece
+    @example(n=9, lo=0, step=256, seed=0)  # two stencils
     def test_each_piece_is_the_polynomial_through_its_stencil(self, n, lo, step, seed):
         # dyadic lo and step make every node lo + i h exact, so both sides
         # interpolate the same data on the same nodes
@@ -194,33 +193,31 @@ class TestPowerInterpolant:
         # the piece of [x_i, x_i+1] interpolates the 8 nodes from x_i-3 on, moved inside the grid
         x = np.clip(t, lo, nodes[-1])
         piece = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, n - 2)
-        m = min(n, 8)
         for xk, i, gk in zip(x, piece, got):
-            stencil = slice(min(max(i - 3, 0), n - m), None)
-            near = powers[stencil][:m]
-            reference = BarycentricInterpolator(nodes[stencil][:m], near)(xk)
+            stencil = slice(min(max(i - 3, 0), n - 8), None)
+            near = powers[stencil][:8]
+            reference = BarycentricInterpolator(nodes[stencil][:8], near)(xk)
             assert abs(gk - reference) <= 1e-12 * np.max(np.abs(near))
-        # so a polynomial of degree < m, up to 7, comes back to rounding; in u = (t - lo) / (hi - lo)
+        # so a polynomial of degree up to 7 comes back to rounding; in u = (t - lo) / (hi - lo)
         # in [0, 1], the offset from lo rounds once, where a far domain's own mapping would lose digits
-        coef = rng.uniform(-1.0, 1.0, rng.integers(1, m + 1))
+        coef = rng.uniform(-1.0, 1.0, rng.integers(1, 9))
         q = lambda s: np.polynomial.polynomial.polyval((s - lo) / (nodes[-1] - lo), coef)
         assert np.max(np.abs(solver.power_interpolant(nodes, q(nodes), 1)(x) - q(x))) <= 1e-13 * np.sum(np.abs(coef))
 
-    @pytest.mark.parametrize("m", range(4, 9))
-    def test_stencil_maps_are_the_lagrange_coefficients_rounded_once(self, m):
-        maps = solver._stencil_maps(m)
-        assert maps.shape == (m - 1, 8, m) and not maps[:, m:].any()
-        for k in range(m - 1):
-            ys = range(-k, m - k)
+    def test_stencil_maps_are_the_lagrange_coefficients_rounded_once(self):
+        maps = solver._STENCIL_MAPS
+        assert maps.shape == (7, 8, 8)
+        for k in range(7):
+            ys = range(-k, 8 - k)
             for j, yj in enumerate(ys):
                 coeffs = [Fraction(1)]  # of y^0, y^1, ..: times (y - yl) / (yj - yl) for each other node
                 for yl in ys:
                     if yl != yj:
                         coeffs = [(a - yl * b) / (yj - yl) for a, b in zip([0] + coeffs, coeffs + [0])]
-                assert maps[k, :m, j].tolist() == [float(c) for c in coeffs]
+                assert maps[k, :, j].tolist() == [float(c) for c in coeffs]
 
     @pytest.mark.parametrize("nodes", [np.linspace(-10, 10, 801), np.arange(-2.0, 2.025, 0.05),
-                                       np.linspace(0.1, 7.3, 999), np.linspace(-1.0, 2.0, 4)])
+                                       np.linspace(0.1, 7.3, 999), np.linspace(-1.0, 2.0, 8)])
     def test_node_values_are_the_node_powers(self, nodes):
         values = np.sin(3.0 * nodes) + 0.1 * nodes
         phi = solver.power_interpolant(nodes, values, 1)
@@ -228,20 +225,22 @@ class TestPowerInterpolant:
         assert phi(nodes[0] - 1.0) == values[0] and phi(nodes[-1] + 1.0) == values[-1]
 
     @pytest.mark.parametrize("nodes, message", [
-        ([0.0, 1.0, 3.0, 4.0, 5.0], "evenly spaced"),
+        ([0.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], "evenly spaced"),
         (np.linspace(1.0, -1.0, 9), "evenly spaced"),
         (np.linspace(-1.0, 1.0, 401) + 1e-9 * (np.arange(401) % 2), "evenly spaced"),
-        ([0.0, 1.0, 2.0], "at least 4 nodes"),
-        ([0.0], "at least 4 nodes"),
+        (np.arange(7.0), "at least 8 nodes"),
+        (np.arange(4.0), "at least 8 nodes"),
+        ([0.0], "at least 8 nodes"),
     ])
     def test_rejects_uneven_or_too_few_nodes(self, nodes, message):
         with pytest.raises(ValueError, match=message):
             solver.power_interpolant(nodes, np.ones(len(nodes)), 3)
 
-    @pytest.mark.parametrize("values", [[0.0, 1.0, np.nan, 3.0, 4.0], [0.0, 1.0, 2.0, 1e200, 4.0], [0.0, 1.0, 2.0]])
+    @pytest.mark.parametrize("values", [[0.0, 1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0],
+                                        [0.0, 1.0, 2.0, 1e200, 4.0, 5.0, 6.0, 7.0], [0.0, 1.0, 2.0]])
     def test_rejects_values_without_a_finite_power_per_node(self, values):
         with pytest.raises(ValueError, match="one value per node"), np.errstate(over="ignore"):
-            solver.power_interpolant(np.arange(5.0), values, 3)
+            solver.power_interpolant(np.arange(8.0), values, 3)
 
 
 class TestFixedPoint:
@@ -312,7 +311,7 @@ class TestFixedPoint:
             def __init__(self, ts, breaks=(), halfwidth=12.0):
                 self.ts, self.breaks = ts, list(breaks)
 
-            def __call__(self, f, with_size=False):
+            def __call__(self, f):
                 A = (2.0 * np.asarray(f(self.ts), dtype=float)) ** 3
                 return A, np.abs(A)
 
@@ -403,7 +402,7 @@ def plain_map(p: int) -> tuple[list, np.ndarray]:
     kernel = solver._PanelKernel(ts, [0.0])
     vals, evaluate, trace = erf(ts), erf, []
     while True:
-        A, scale = kernel(evaluate, with_size=True)
+        A, scale = kernel(evaluate)
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
         res = float(np.max(np.abs(A - vals * np.abs(vals) ** (p - 1))))
         root = np.sign(A) * np.abs(A) ** (1.0 / p)
@@ -428,7 +427,7 @@ def secant_map(p: int) -> tuple[list, np.ndarray]:
     precondition = solver._preconditioner(p, 0.025, ts.size)
     vals, evaluate, trace, previous = erf(ts), erf, [], None
     while True:
-        A, scale = kernel(evaluate, with_size=True)
+        A, scale = kernel(evaluate)
         power = vals * np.abs(vals) ** (p - 1)
         res = float(np.max(np.abs(A - power)))
         if trace and res >= trace[-1]["residual"]:
@@ -652,7 +651,7 @@ class TestKernelReuse:
         calls = self.count_panel_rules(monkeypatch)
         got = solver.apply_K_panels(result.phi, nodes, [0.0])
         assert len(calls) == 1
-        np.testing.assert_array_equal(got, solver._PanelKernel(nodes, [0.0])(result.phi))
+        np.testing.assert_array_equal(got, solver._PanelKernel(nodes, [0.0])(result.phi)[0])
 
     def test_shared_kernel_needs_the_same_rows_breaks_and_window(self, monkeypatch):
         calls = self.count_panel_rules(monkeypatch)
@@ -682,15 +681,9 @@ class TestKernelReuse:
 
 
 def dense_K(f, ts, breaks, halfwidth=12.0):
-    """K f with the full kernel exp(-(t - tau)^2) over the whole panel window; f may be a block."""
+    """K f with the full kernel exp(-(t - tau)^2) over the whole panel window."""
     tau, w = solver.panel_rule(ts.min() - halfwidth, ts.max() + halfwidth, breaks)
-    fv = f(tau)
-    return np.exp(-((ts[:, None] - tau) ** 2)) @ (w * fv.T).T / math.sqrt(math.pi)
-
-
-def kinked_block(xi):
-    """Two bounded columns: a plane wave and a cube-root kink at every zero of sin(xi t)."""
-    return lambda t: np.stack([np.cos(xi * t), np.cbrt(np.sin(xi * t))], axis=-1)
+    return np.exp(-((ts[:, None] - tau) ** 2)) @ (w * f(tau)) / math.sqrt(math.pi)
 
 
 def pieces(lo, hi, breaks=()):
@@ -956,11 +949,12 @@ class TestBandedKernel:
     @example(ts=np.linspace(-10.0, 10.0, 801), breaks=[], xi=1.0, halfwidth=12.0)  # no breaks
     @example(ts=solver.panel_rule(-2.0, 2.0, [0.3])[0], breaks=[0.3], xi=1.0, halfwidth=12.0)  # rows on the sides
     def test_matches_dense_kernel_for_any_break_set(self, ts, breaks, xi, halfwidth):
-        # substituted break sides, a narrowed band: still the dense sum to rounding
-        f = kinked_block(xi)
-        got = solver.apply_K_panels(f, ts, breaks, halfwidth)
-        assert got.shape == ts.shape + (2,)
-        np.testing.assert_allclose(got, dense_K(f, ts, breaks, halfwidth), rtol=0, atol=1e-13)
+        # substituted break sides, a narrowed band: still the dense sum to rounding, for a plane
+        # wave and for a cube-root kink at every zero of sin(xi t)
+        for f in (lambda t: np.cos(xi * t), lambda t: np.cbrt(np.sin(xi * t))):
+            got = solver.apply_K_panels(f, ts, breaks, halfwidth)
+            assert got.shape == ts.shape
+            np.testing.assert_allclose(got, dense_K(f, ts, breaks, halfwidth), rtol=0, atol=1e-13)
 
     def test_growing_integrand_gets_the_full_halfwidth(self):
         phi, _ = solver.exact_gaussian_solution(3)
@@ -968,7 +962,7 @@ class TestBandedKernel:
         kernel = solver._PanelKernel(ts, [], 18.0)
         kernel(np.cos)  # bounded: the narrow band's tail is below rounding
         assert kernel.full is None
-        got = kernel(phi)  # phi(20) / phi(2) = e^264: only the whole window will do
+        got, _ = kernel(phi)  # phi(20) / phi(2) = e^264: only the whole window will do
         assert kernel.full is not None and kernel.full is not kernel.narrow
         np.testing.assert_allclose(got, dense_K(phi, ts, [], halfwidth=18.0), rtol=1e-12)
         np.testing.assert_allclose(got, phi(ts) ** 3, rtol=1e-10)
@@ -1027,16 +1021,6 @@ class TestResidual:
             shifted = lambda t: phi(np.asarray(t, dtype=float) + shift)
             moved = solver.residual(shifted, 2, ts=np.arange(-1.0, 1.01, 0.1), halfwidth=18.0)
             assert abs(moved - base) < 1e-8
-
-    def test_panel_block_matches_single_columns(self):
-        ts = np.linspace(-2.0, 2.0, 41)
-        f = lambda t: np.cbrt(np.asarray(t, dtype=float))
-        g = lambda t: np.abs(f(t))
-        block = solver.apply_K_panels(lambda t: np.stack([f(t), g(t)], axis=-1), ts, [0.0])
-        assert block.shape == (ts.size, 2)
-        # one matrix product in place of two: equal up to summation order
-        assert block[:, 0] == pytest.approx(solver.apply_K_panels(f, ts, [0.0]), rel=1e-13, abs=1e-15)
-        assert block[:, 1] == pytest.approx(solver.apply_K_panels(g, ts, [0.0]), rel=1e-13, abs=1e-15)
 
 
 class TestConservationLaws:
@@ -1142,6 +1126,13 @@ class TestConfigValidation:
     def test_grid_step_must_divide_the_halfwidth(self):
         with pytest.raises(ValueError, match=r"grid step 0\.03 does not divide .* is 0\.03003"):
             solver.SolverConfig(p=3, grid_step=0.03)
+
+    @pytest.mark.parametrize("step", [10.0, 5.0, 3.0])
+    def test_grid_must_hold_one_interpolation_stencil(self, step):
+        # 3, 5 and 7 nodes: fewer than the 8 of power_interpolant's stencil, which
+        # fixed_point_iterate would reach only after its first kernel apply
+        with pytest.raises(ValueError, match=r"fewer than the 8 .* largest step that fits is 2\.5"):
+            solver.SolverConfig(p=3, grid_step=step)
 
     @pytest.mark.parametrize("halfwidth, step", [(10.0, 0.025), (10.0, 0.05), (10.0, 0.1), (12.0, 0.05)])
     def test_steps_in_use_divide_their_halfwidth(self, halfwidth, step):
