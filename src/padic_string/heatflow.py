@@ -12,10 +12,13 @@ solution must satisfy, provides the exact polynomial caloric
 solutions whose zeros branch out of a multiple zero of u(1, .), locates and
 classifies zeros (multiplicity by a dyadic log-log fit, jumps by saltus
 scan), and evaluates the a-priori kernel bound for even powers.
+
+For the heat polynomial the branching predictions (lambda_k/2) sqrt(eps)
+are its exact zeros for every eps > 0, lambda_k being twice the zeros of
+H_{2n}; for a general u they hold only asymptotically as eps -> 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +37,6 @@ __all__ = [
     "energy_identity_residual",
     "heat_polynomial",
     "heat_polynomial_interpolant",
-    "branching_polynomial",
     "branching_roots",
     "track_zeros",
     "kernel_estimate_bound",
@@ -136,49 +138,17 @@ def heat_polynomial_interpolant(n: int):
     return lambda x, t: heat_polynomial(n, 1.0 - x, t)
 
 
-def branching_polynomial(n: int) -> np.ndarray:
-    """Coefficients of sum_m (-1)^m Lambda^{n-m} / ((2n-2m)! m!) = 0, leading first.
+def branching_roots(n: int) -> np.ndarray:
+    """The 2n branching locations lambda_k, sorted increasing: twice the zeros of H_{2n}.
 
-    Entry m multiplies Lambda^{n-m} with Lambda = lambda^2, so the same
-    array also gives the coefficients of lambda^{2n-2m}.
+    The caloric polynomial with u(1, t) = t^{2n} / (2n)! is exactly
+    u(1-eps, t) = (eps/4)^n H_{2n}(t / sqrt(eps)) / (2n)!, so its zeros are
+    (lambda_k / 2) sqrt(eps) with lambda_k twice the nodes of the order-2n
+    Gauss-Hermite rule.
     """
     if not 1 <= n <= 20:
         raise ValueError("n must be in 1..20")
-    return np.array([(-1.0) ** m / (math.factorial(2 * n - 2 * m) * math.factorial(m)) for m in range(n + 1)])
-
-
-@functools.lru_cache(maxsize=None)
-def branching_roots(n: int) -> np.ndarray:
-    """The 2n simple real locations +-sqrt(Lambda_k), sorted increasing, as a read-only array.
-
-    Each n is computed once per process (n is limited to 1..20), so
-    track_zeros and the CLI share the roots.
-
-    Lambda roots come from companion-matrix eigenvalues (imaginary parts
-    below 1e-8 relative are discarded) and are polished by bisection between
-    the midpoints of consecutive estimates (and 0 and twice the largest).
-    All Lambda_k must come out positive, bracketed and distinct; anything
-    else indicates a bug and raises AssertionError.
-    """
-    poly = branching_polynomial(n)
-    raw = np.roots(poly)
-    scale = np.max(np.abs(raw))
-    if np.any(np.abs(raw.imag) > 1e-8 * scale):
-        raise AssertionError(f"complex branching root beyond tolerance for n={n}: {raw}")
-    lam = np.sort(raw.real)
-    if np.any(lam <= 0):
-        raise AssertionError(f"non-positive branching root for n={n}: {lam}")
-    edges = np.concatenate([[0.0], 0.5 * (lam[1:] + lam[:-1]), [2.0 * lam[-1]]])
-    pv = np.sign(np.polyval(poly, edges))
-    if np.any(pv[1:] * pv[:-1] >= 0):
-        raise AssertionError(f"branching root estimates do not bracket the roots for n={n}: {lam}")
-    lam = _bisect(lambda L: np.polyval(poly, L), edges[:-1], edges[1:])
-    if np.any(np.diff(lam) <= 0):
-        raise AssertionError(f"branching roots not distinct for n={n}: {lam}")
-    roots = np.sqrt(lam)
-    roots = np.sort(np.concatenate([-roots, roots]))
-    roots.flags.writeable = False
-    return roots
+    return 2.0 * gauss_hermite_rule(2 * n).nodes
 
 
 @dataclass(frozen=True)
@@ -196,8 +166,11 @@ def track_zeros(u, n: int, eps: float) -> TrackedZeros:
     """Locate the roots of u(1-eps, .) with detect_sign_changes (scan, then bisection).
 
     u is a callable u(x, t).  The scan covers |t| <= 3 sqrt(eps) max|lambda|
-    with step about sqrt(eps)/50; predictions are (lambda_k/2) sqrt(eps).  A root count different from 2n is reported
-    via the mismatch flag (the branching count is only asymptotic in eps).
+    with step about sqrt(eps)/50; predictions are (lambda_k/2) sqrt(eps).  A
+    root count different from 2n is reported via the mismatch flag.  For the
+    heat polynomial the predictions are its exact zeros for every eps > 0, so
+    a mismatch there can only come from the scan; for a general u the count
+    of 2n is only asymptotic in eps.
     """
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 0.5], got {eps}")

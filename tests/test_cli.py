@@ -258,18 +258,18 @@ class TestBranchCommand:
 
     def test_branching_roots_computed_once(self, capsys, tmp_path, monkeypatch):
         # the report and its four track_zeros calls share one computation
-        heatflow.branching_roots.cache_clear()
+        basis.gauss_hermite_rule.cache_clear()
         calls = []
-        original = np.roots
+        original = np.linalg.eigvalsh
 
-        def counted(coeffs):
-            calls.append(coeffs)
-            return original(coeffs)
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
 
-        monkeypatch.setattr(np, "roots", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         code, _, _ = run(["branch", "--n", "3", "--out", str(tmp_path / "branch.json")], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [(6, 6)]
 
     def test_first_order_closed_form(self, capsys, tmp_path):
         path = tmp_path / "branch1.json"

@@ -43,8 +43,6 @@ UNREACHED_ALLOWED = {
     "coeff_c", "inner_xm_Hn", "erf_base_coeff", "ansatz_to_hermite",
     # paper checks waiting for their registration as verify suites
     "entire_bound", "linear_block_residual", "kernel_estimate_bound", "kernel_estimate_check", "zero_report",
-    # a helper of its own module: branching_roots calls it
-    "branching_polynomial",
 }
 
 

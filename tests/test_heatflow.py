@@ -241,20 +241,8 @@ class TestBranchingRoots:
             lam = sorted(mpmath.re(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=60))
             positive = np.array([float(mpmath.sqrt(L)) for L in lam])
         reference = np.concatenate([-positive[::-1], positive])
-        rel = np.max(np.abs(heatflow.branching_roots(n) - reference) / np.abs(reference))
-        assert rel <= (1e-12 if n <= 12 else 1e-8)
-
-    def test_roots_are_shared_and_read_only(self):
-        roots = heatflow.branching_roots(4)
-        assert heatflow.branching_roots(4) is roots
-        with pytest.raises(ValueError):
-            roots[0] = 0.0
-
-    def test_polynomial_in_lambda_squared(self):
-        # n=2 polynomial should be proportional to Lambda^2 - 12 Lambda + 12
-        poly = heatflow.branching_polynomial(2)
-        scaled = poly / poly[0]
-        assert scaled == pytest.approx([1.0, -12.0, 12.0])
+        ulps = np.abs(heatflow.branching_roots(n) - reference) / np.spacing(np.abs(reference))
+        assert np.max(ulps) <= 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
