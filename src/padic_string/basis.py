@@ -134,10 +134,12 @@ def _flag_overflow(values: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def _three_term(N: int, x: np.ndarray, scale: float) -> np.ndarray:
-    """Rows P_0(x) .. P_N(x) of P_{k+1} = scale (x P_k - k P_{k-1}), P_0 = 1.
+def _three_term(N: int, x: np.ndarray, scale: float, variance: float = 1.0) -> np.ndarray:
+    """Rows P_0(x) .. P_N(x) of P_{k+1} = scale (x P_k - variance k P_{k-1}), P_0 = 1.
 
-    scale 2 gives H_n, scale 1 gives V_n; the shape is (N+1,) + x.shape.
+    scale 2 gives H_n, scale 1 gives V_n, and scale 1 with variance s the
+    monic Hermite polynomials of variance s (the heat polynomials); the
+    shape is (N+1,) + x.shape.
     """
     table = np.empty((N + 1,) + x.shape)
     table[0] = 1.0
@@ -145,7 +147,7 @@ def _three_term(N: int, x: np.ndarray, scale: float) -> np.ndarray:
         table[1] = scale * x
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, N):
-            table[k + 1] = scale * (x * table[k] - k * table[k - 1])
+            table[k + 1] = scale * (x * table[k] - variance * k * table[k - 1])
     return table
 
 
@@ -273,12 +275,7 @@ def inner_product(f, g, w, rule: QuadratureRule) -> float:
     return float(rule.weights @ (fv * gv)) / SQRT_PI
 
 
-def default_projection_rule(N: int) -> QuadratureRule:
-    """Order max(64, 2N+8): exact for the polynomial integrands of degree <= 2N."""
-    return gauss_hermite_rule(max(64, 2 * N + 8))
-
-
-def project(f, w, N: int, rule: QuadratureRule | None = None) -> HermiteSeries:
+def project(f, w, N: int, rule: QuadratureRule) -> HermiteSeries:
     """Project onto H (weight 1) or V (weight 1/2); coeffs[n] = (f, H_n)_1 resp. (f, V_n)_{1/2}."""
     alpha = _as_alpha(w)
     if math.isclose(alpha, 1.0):
@@ -287,8 +284,6 @@ def project(f, w, N: int, rule: QuadratureRule | None = None) -> HermiteSeries:
         basis = "V"
     else:
         raise ValueError("projection weight must be 1 (H basis) or 1/2 (V basis)")
-    if rule is None:
-        rule = default_projection_rule(N)
     t = rule.nodes / math.sqrt(alpha)
     fv = np.asarray(f(t), dtype=float)
     table = hermite_table(N, t) if basis == "H" else modified_hermite_table(N, t)

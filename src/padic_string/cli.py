@@ -209,23 +209,15 @@ def cmd_interp(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    u = heatflow.heat_polynomial_interpolant(args.n)
-    tracked = heatflow.track_zeros(u, args.n, args.eps)
+    tracked = heatflow.track_zeros(heatflow.heat_polynomial_interpolant(args.n), args.n, args.eps)
     report = {
         "n": args.n,
-        "eps": args.eps,
+        "eps": tracked.eps,
         "lambda": [float(v) for v in heatflow.branching_roots(args.n)],
         "predicted": [float(v) for v in tracked.predicted],
         "roots": [float(v) for v in tracked.roots],
         "mismatch": tracked.mismatch,
     }
-    ladder = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        tr = heatflow.track_zeros(u, args.n, eps)
-        if not tr.mismatch:
-            dev = float(np.max(np.abs(tr.roots - tr.predicted))) / math.sqrt(eps)
-            ladder.append({"eps": eps, "scaled_deviation": dev})
-    report["convergence"] = ladder
     path = _write_json(args.out, report)
     print(f"wrote {path}")
     return 0 if not tracked.mismatch else 1

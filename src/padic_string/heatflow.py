@@ -8,10 +8,11 @@ Poisson formula
 
 which after tau = t - sqrt(x) v is a plain Gauss-Hermite sum.  The module
 evaluates u and u_t, checks the energy law that any boundary-value
-solution must satisfy, provides the exact polynomial caloric
-solutions whose zeros branch out of a multiple zero of u(1, .), locates and
-classifies zeros (multiplicity by a dyadic log-log fit, jumps by saltus
-scan), and evaluates the a-priori kernel bound for even powers.
+solution must satisfy, provides the exact polynomial caloric solution
+whose zeros branch out of a multiple zero of u(1, .) (at x = 1 - eps the
+Hermite polynomial of variance eps/2, by basis's three-term recurrence),
+locates and classifies zeros (multiplicity by a dyadic log-log fit, jumps
+by saltus scan), and evaluates the a-priori kernel bound for even powers.
 
 For the heat polynomial the branching predictions (lambda_k/2) sqrt(eps)
 are its exact zeros for every eps > 0, lambda_k being twice the zeros of
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GridFunction, QuadratureRule, gauss_hermite_rule
+from .basis import GridFunction, QuadratureRule, _three_term, gauss_hermite_rule
 from .gaussop import gauss_moment
 from .solver import _bisect, _sign_brackets, _zero_exponent, apply_K_panels, detect_sign_changes, panel_rule
 
@@ -45,15 +46,12 @@ __all__ = [
 ]
 
 
-def poisson_eval(phi, x: float, t, rule: QuadratureRule | None = None):
+def poisson_eval(phi, x: float, t, rule: QuadratureRule):
     """u(x, t) = pi^(-1/2) sum_i w_i phi(t - sqrt(x) v_i); u(0, .) is phi itself.
 
-    The rule defaults to 96-point Gauss-Hermite.  phi must obey
-    |phi(t)| <= C exp((1-eps) t^2); this is a documented contract, not a
-    runtime check.
+    phi must obey |phi(t)| <= C exp((1-eps) t^2); this is a documented
+    contract, not a runtime check.
     """
-    if rule is None:
-        rule = gauss_hermite_rule(96)
     if not 0 <= x < math.inf:
         raise ValueError(f"heat time x must be finite and non-negative, got {x}")
     t = np.asarray(t, dtype=float)
@@ -63,14 +61,12 @@ def poisson_eval(phi, x: float, t, rule: QuadratureRule | None = None):
     return gauss_moment(phi, t, rule, x)
 
 
-def poisson_dt(phi, x: float, t, rule: QuadratureRule | None = None):
+def poisson_dt(phi, x: float, t, rule: QuadratureRule):
     """u_t(x, t) by differentiating the kernel: -2 (pi x)^(-1/2) sum w_i v_i phi(t - sqrt(x) v_i).
 
     Uses only values of phi, so it stays meaningful when phi has a
     fractional-power zero whose derivative is unbounded.
     """
-    if rule is None:
-        rule = gauss_hermite_rule(96)
     if not 0 < x < math.inf:
         raise ValueError(f"kernel derivative needs a finite x > 0, got {x}")
     return -2.0 / math.sqrt(x) * gauss_moment(phi, t, rule, x, k=1)
@@ -116,20 +112,16 @@ def energy_identity_residual(phi, p: int, domain: tuple[float, float] = (-10.0, 
 def heat_polynomial(n: int, eps: float, t):
     """Exact caloric polynomial with u(1, t) = t^{2n} / (2n)!, evaluated at x = 1 - eps.
 
-    u(1-eps, t) = sum_{m=0}^{n} (-1)^m t^{2n-2m} / ((2n-2m)! m!) (eps/4)^m,
-    which solves u_x = u_tt / 4 identically in (eps, t).
+    u(1-eps, t) = sum_{m=0}^{n} (-1)^m t^{2n-2m} / ((2n-2m)! m!) (eps/4)^m
+    solves u_x = u_tt / 4 identically in (eps, t).  It is the degree-2n monic
+    Hermite polynomial of variance eps/2 over (2n)!, so the recurrence
+    P_{k+1} = t P_k - (eps/2) k P_{k-1} takes it without the alternating
+    sum's cancellation, for every real eps (eps < 0 is x > 1).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for m in range(n + 1):
-        out += (
-            (-1.0) ** m
-            * t ** (2 * n - 2 * m)
-            / (math.factorial(2 * n - 2 * m) * math.factorial(m))
-            * (eps / 4.0) ** m
-        )
+    out = _three_term(2 * n, t, 1.0, eps / 2.0)[-1] / math.factorial(2 * n)
     return out if out.shape else float(out)
 
 
@@ -165,15 +157,18 @@ class TrackedZeros:
 def track_zeros(u, n: int, eps: float) -> TrackedZeros:
     """Locate the roots of u(1-eps, .) with detect_sign_changes (scan, then bisection).
 
-    u is a callable u(x, t).  The scan covers |t| <= 3 sqrt(eps) max|lambda|
-    with step about sqrt(eps)/50; predictions are (lambda_k/2) sqrt(eps).  A
-    root count different from 2n is reported via the mismatch flag.  For the
-    heat polynomial the predictions are its exact zeros for every eps > 0, so
-    a mismatch there can only come from the scan; for a general u the count
-    of 2n is only asymptotic in eps.
+    u is a callable u(x, t).  The tracked eps is the one the scan evaluates,
+    1 - (1 - eps) in floating point; it is the returned eps, and the
+    predictions (lambda_k/2) sqrt(eps) use it.  The scan covers
+    |t| <= 3 sqrt(eps) max|lambda| with step about sqrt(eps)/50.  A root
+    count different from 2n is reported via the mismatch flag.  For the heat
+    polynomial the predictions are its exact zeros for every eps > 0, so a
+    mismatch there can only come from the scan; for a general u the count of
+    2n is only asymptotic in eps.
     """
     if not 0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 0.5], got {eps}")
+    eps = 1.0 - (1.0 - eps)
     lam = branching_roots(n)
     predicted = 0.5 * lam * math.sqrt(eps)
     half = 3.0 * math.sqrt(eps) * float(np.max(np.abs(lam)))
@@ -204,7 +199,7 @@ def kernel_estimate_bound(q: int, x: float) -> float:
     )
 
 
-def kernel_estimate_check(phi, q: int, x: float, ts, rule: QuadratureRule | None = None) -> float:
+def kernel_estimate_check(phi, q: int, x: float, ts, rule: QuadratureRule) -> float:
     """Worst-case margin bound - J(x, t) over the sample points ts.
 
     J(x, t) is the x-smoothed 2q-th power, (pi x)^(-1/2) int phi^{2q}(tau)

@@ -297,33 +297,33 @@ class TestInnerProducts:
 
 
 class TestProjection:
-    def test_projects_H3_onto_itself(self):
-        series = basis.project(hermite_fn(3), 1.0, 6)
+    def test_projects_H3_onto_itself(self, rule64):
+        series = basis.project(hermite_fn(3), 1.0, 6, rule64)
         expected = np.zeros(7)
         expected[3] = 48.0  # |H_3|^2 = 2^3 3!
         assert series.coeffs == pytest.approx(expected, abs=1e-9)
 
-    def test_projects_constant(self):
-        series = basis.project(const_one, 1.0, 5)
+    def test_projects_constant(self, rule64):
+        series = basis.project(const_one, 1.0, 5, rule64)
         assert series.coeffs == pytest.approx([1, 0, 0, 0, 0, 0], abs=1e-12)
 
-    def test_exponential_coefficients(self):
+    def test_exponential_coefficients(self, rule64):
         # (e^{lam t}, H_n)_1 = lam^n e^{lam^2/4}, by completing the square
         lam = 1.0
-        series = basis.project(lambda t: np.exp(lam * t), 1.0, 6)
+        series = basis.project(lambda t: np.exp(lam * t), 1.0, 6, rule64)
         expected = lam ** np.arange(7) * math.exp(lam**2 / 4)
         assert series.coeffs == pytest.approx(expected, abs=1e-8)
 
-    def test_V_basis_projection(self):
-        series = basis.project(modified_hermite_fn(4), 0.5, 6)
+    def test_V_basis_projection(self, rule64):
+        series = basis.project(modified_hermite_fn(4), 0.5, 6, rule64)
         expected = np.zeros(7)
         expected[4] = math.factorial(4)
         assert series.coeffs == pytest.approx(expected, abs=1e-9)
         assert series.basis == "V"
 
-    def test_rejects_other_weights(self):
+    def test_rejects_other_weights(self, rule64):
         with pytest.raises(ValueError):
-            basis.project(const_one, 0.7, 4)
+            basis.project(const_one, 0.7, 4, rule64)
 
 
 class TestConversions:

@@ -256,8 +256,16 @@ class TestBranchCommand:
         assert report["roots"] == pytest.approx(expected, abs=1e-10)
         assert report["mismatch"] is False
 
+    def test_report_keys(self, capsys, tmp_path):
+        path = tmp_path / "branch.json"
+        code, _, _ = run(["branch", "--n", "2", "--eps", "0.01", "--out", str(path)], capsys)
+        assert code == 0
+        report = json.loads(path.read_text())
+        assert set(report) == {"eps", "lambda", "mismatch", "n", "predicted", "roots"}
+        assert report["eps"] == 1.0 - (1.0 - 0.01)
+
     def test_branching_roots_computed_once(self, capsys, tmp_path, monkeypatch):
-        # the report and its four track_zeros calls share one computation
+        # the report and its one track_zeros call share one computation
         basis.gauss_hermite_rule.cache_clear()
         calls = []
         original = np.linalg.eigvalsh

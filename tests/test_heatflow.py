@@ -31,20 +31,20 @@ class TestPoisson:
         assert heatflow.poisson_eval(f, 1.0, 0.0, rule96) == pytest.approx(0.5, abs=1e-12)
         assert heatflow.poisson_eval(f, 0.3, 1.1, rule96) == pytest.approx(1.21 + 0.15, abs=1e-12)
 
-    def test_zero_time_returns_boundary(self):
+    def test_zero_time_returns_boundary(self, rule96):
         f = lambda t: np.sin(t)
-        assert heatflow.poisson_eval(f, 0.0, 0.7) == pytest.approx(math.sin(0.7))
+        assert heatflow.poisson_eval(f, 0.0, 0.7, rule96) == pytest.approx(math.sin(0.7))
 
-    def test_negative_time_rejected(self):
+    def test_negative_time_rejected(self, rule96):
         with pytest.raises(ValueError):
-            heatflow.poisson_eval(const_one, -0.1, 0.0)
+            heatflow.poisson_eval(const_one, -0.1, 0.0, rule96)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda x: heatflow.poisson_eval(const_one, x, 0.0),
-            lambda x: heatflow.poisson_dt(const_one, x, 0.0),
+            lambda x: heatflow.poisson_eval(const_one, x, 0.0, basis.gauss_hermite_rule(96)),
+            lambda x: heatflow.poisson_dt(const_one, x, 0.0, basis.gauss_hermite_rule(96)),
         ],
         ids=["poisson_eval", "poisson_dt"],
     )
@@ -61,12 +61,12 @@ class TestPoisson:
             t = rng.uniform(-2.0, 2.0)
             assert heatflow.caloric_residual(u, x, t) < 1e-6
 
-    def test_semigroup_on_polynomial_boundary(self):
+    def test_semigroup_on_polynomial_boundary(self, rule96):
         poly = lambda t: 1 + 0.5 * np.asarray(t, dtype=float) ** 3 - np.asarray(t, dtype=float)
-        first = lambda t: heatflow.poisson_eval(poly, 0.3, t)
+        first = lambda t: heatflow.poisson_eval(poly, 0.3, t, rule96)
         for t in (-1.0, 0.0, 0.7):
-            two_step = heatflow.poisson_eval(first, 0.5, t)
-            one_step = heatflow.poisson_eval(poly, 0.8, t)
+            two_step = heatflow.poisson_eval(first, 0.5, t, rule96)
+            one_step = heatflow.poisson_eval(poly, 0.8, t, rule96)
             assert two_step == pytest.approx(one_step, abs=1e-8)
 
     def test_agrees_with_K_at_unit_time(self, rule96):
@@ -201,6 +201,25 @@ class TestHeatPolynomial:
         with pytest.raises(ValueError):
             heatflow.heat_polynomial(0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    @pytest.mark.parametrize("eps", [-0.3, 0.0, 1e-3, 0.5])
+    def test_matches_40_digit_monomial_sum(self, n, eps):
+        # within rounding of the alternating sum's terms, for eps <= 0 (x >= 1) too;
+        # the points include the exact zeros, where the sum cancels worst
+        ts = np.linspace(-6.0, 6.0, 25)
+        if eps > 0:
+            ts = np.concatenate([ts, 0.5 * heatflow.branching_roots(n) * math.sqrt(eps)])
+        for t, value in zip(ts, heatflow.heat_polynomial(n, eps, ts)):
+            with mpmath.workdps(40):
+                terms = [
+                    (-1) ** m
+                    * mpmath.mpf(t) ** (2 * n - 2 * m)
+                    / (mpmath.factorial(2 * n - 2 * m) * mpmath.factorial(m))
+                    * (mpmath.mpf(eps) / 4) ** m
+                    for m in range(n + 1)
+                ]
+                assert abs(value - sum(terms)) <= 2e-15 * sum(abs(term) for term in terms)
+
 
 class TestBranchingRoots:
     def test_n1_exact(self):
@@ -291,6 +310,15 @@ class TestTrackZeros:
         assert tracked.mismatch
         assert tracked.roots.size == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 20])
+    @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-4, 1e-8, 1e-12])
+    def test_roots_are_the_exact_zeros(self, n, eps):
+        # the predictions are the heat polynomial's exact zeros at the tracked eps
+        tracked = heatflow.track_zeros(heatflow.heat_polynomial_interpolant(n), n, eps)
+        assert not tracked.mismatch
+        assert tracked.eps == 1.0 - (1.0 - eps)
+        assert np.max(np.abs(tracked.roots - tracked.predicted) / np.abs(tracked.predicted)) <= 1e-15
+
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             heatflow.track_zeros(heatflow.heat_polynomial_interpolant(1), 1, 0.0)
@@ -305,8 +333,8 @@ class TestKernelEstimate:
         )
         assert heatflow.kernel_estimate_bound(2, 1.0) == pytest.approx(1.0911, abs=1e-4)
 
-    def test_margin_for_constant_solution(self):
-        margin = heatflow.kernel_estimate_check(const_one, 2, 1.0, np.linspace(-2, 2, 9))
+    def test_margin_for_constant_solution(self, rule96):
+        margin = heatflow.kernel_estimate_check(const_one, 2, 1.0, np.linspace(-2, 2, 9), rule96)
         assert margin == pytest.approx(heatflow.kernel_estimate_bound(2, 1.0) - 1.0, abs=1e-10)
 
     def test_q1_at_unit_time_rejected(self):
