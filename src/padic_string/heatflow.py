@@ -91,22 +91,18 @@ def energy_identity_residual(phi, p: int, domain: tuple[float, float] = (-10.0, 
     residual is |int (K phi)^2 - int phi^{2p}|.  The window drops the
     boundary flux (1/2) int_0^1 [u u_t]_a^b dx.
 
-    (K phi)^2 is entire, so its t-integral takes the plain panel_rule of the
-    window (16 nodes per unit panel: 256 on (-8, 8), 320 on the default
-    window), with K phi one apply_K_panels call at those nodes, its sides
-    substituted at the sign changes that detect_sign_changes finds on 801
-    points of the window; phi is so sampled up to 12 beyond the window.
-    phi^{2p} keeps the fractional-power zeros of phi and takes the
-    panel_rule with sides substituted there (352 nodes on (-8, 8) with one
-    zero).
+    (K phi)^2 and phi^{2p} = (phi^p)^2 are both entire, so one plain
+    panel_rule of the window (16 nodes per unit panel: 256 on (-8, 8), 320
+    on the default window) takes both t-integrals.  K phi is one
+    apply_K_panels call at those nodes, its sides substituted at the sign
+    changes that detect_sign_changes finds on 801 points of the window;
+    phi is so sampled up to 12 beyond the window.
     """
     a, b = domain
-    breaks = detect_sign_changes(phi, a, b, 801)
     ts, wt = panel_rule(a, b)
-    kphi = apply_K_panels(phi, ts, breaks)
-    tg, wg = panel_rule(a, b, breaks)
-    pv = np.asarray(phi(tg), dtype=float)
-    return abs(float(wt @ kphi**2 - wg @ pv ** (2 * p)))
+    kphi = apply_K_panels(phi, ts, detect_sign_changes(phi, a, b, 801))
+    pv = np.asarray(phi(ts), dtype=float)
+    return abs(float(wt @ kphi**2 - wt @ pv ** (2 * p)))
 
 
 def heat_polynomial(n: int, eps: float, t):

@@ -12,14 +12,14 @@ sign.  The remaining functions verify
 candidates: equation residual, the integral conservation laws
 (phi^p, H_n)_1 = (phi, V_n)_{1/2} and boundary-limit diagnostics.
 
-Off-grid evaluation of iterates goes through an interpolant of the p-th
-power rather than of phi itself: phi^p = K phi is entire even where phi
-has a fractional-power zero, so the root of the interpolant keeps full
-accuracy near sign changes (plain interpolation of phi would lose
-~h^(1/3) there).  Each grid interval takes the degree-7 polynomial through
-the 8 nearest nodes, so the error is O(h^8) and needs no global solve
-(Berrut & Trefethen, SIAM Rev. 46, 2004); uneven nodes, or fewer than 8,
-are rejected.
+Off-grid evaluation of iterates goes through an interpolant of the
+equation's power phi^p (|phi|^p for even p) rather than of phi itself:
+phi^p = K phi is entire across a fractional-power zero of phi, and for
+even p across a first-kind jump, so the root of the interpolant keeps full
+accuracy there (interpolating phi would lose ~h^(1/3) at a cube-root zero).
+Each grid interval takes the degree-7 polynomial through the 8 nearest
+nodes, so the error is O(h^8) and needs no global solve (Berrut &
+Trefethen, SIAM Rev. 46, 2004); uneven nodes, or fewer than 8, are rejected.
 """
 from __future__ import annotations
 
@@ -417,6 +417,15 @@ def _default_even_template(t):
     return np.where(np.asarray(t, dtype=float) >= 0, 1.0, -1.0)
 
 
+def _equation_root(psi, p: int, t, sign_template=None):
+    """phi from its equation's power psi at t: sgn(psi) |psi|^(1/p) for odd p; for even p, which
+    loses the sign, the template's sign (default sgn(t)) times max(psi, 0)^(1/p)."""
+    if p % 2 == 1:
+        return np.sign(psi) * np.abs(psi) ** (1.0 / p)
+    template = _default_even_template if sign_template is None else sign_template
+    return template(t) * np.clip(psi, 0.0, None) ** (1.0 / p)
+
+
 _STENCIL = 8  # nodes per interpolating polynomial of power_interpolant: degree 7, error O(h^8)
 
 
@@ -447,11 +456,13 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     """Evaluate a grid iterate anywhere via a local degree-7 interpolant of its p-th power.
 
     On each interval [x_i, x_i+1] the interpolant is the polynomial through
-    the signed powers v |v|^(p-1) at the _STENCIL = 8 nearest nodes, x_i-3
-    .. x_i+4, moved inside at the two ends; the returned callable maps back
-    with the real p-th root (odd p) or with the sign template (even p;
-    default sgn(t), as in fixed_point_iterate).  Outside the grid the edge
-    powers extend as constants.  The nodes must be at least 8 and rise by
+    the equation's powers at the _STENCIL = 8 nearest nodes, x_i-3 ..
+    x_i+4, moved inside at the two ends; the returned callable maps back
+    with fixed_point_iterate's root.  For odd p that is the real p-th root
+    of v |v|^(p-1); for even p, of |v|^p, which stays entire across a jump
+    of phi, with the sign template's sign (default sgn(t)), so a node value
+    of the other sign comes back with the template's.  Outside the grid the
+    edge powers extend as constants.  The nodes must be at least 8 and rise by
     one step h = (last - first) / (n - 1), each gap within 64 eps max |node|
     of h, as linspace and arange round them, and each must have a value
     with a finite power; other input raises ValueError.  Each piece is
@@ -469,11 +480,9 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     if not (h > 0 and np.all(np.abs(gaps - h) <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi)))):
         raise ValueError(f"the power interpolant needs evenly spaced increasing nodes, got gaps "
                          f"from {float(np.min(gaps))} to {float(np.max(gaps))}")
-    powers = values * np.abs(values) ** (p - 1)
+    powers = _equation_power(values, p)
     if powers.shape != nodes.shape or not np.all(np.isfinite(powers)):
         raise ValueError("the power interpolant needs one value per node, with a finite p-th power")
-    if p % 2 == 0 and sign_template is None:
-        sign_template = _default_even_template
     # column i: the piece on [nodes[i], nodes[i+1]], which takes the map of stencil offset
     # k = i - (first stencil node); column n-1 is the constant from the last node on
     coeffs = np.zeros((_STENCIL, n))
@@ -496,10 +505,7 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
         for row in c[-2::-1]:
             sv *= y
             sv += row
-        if p % 2 == 1:
-            out = np.sign(sv) * np.abs(sv) ** (1.0 / p)
-        else:
-            out = sign_template(t) * np.abs(sv) ** (1.0 / p)
+        out = _equation_root(sv, p, t, sign_template)
         return out if out.shape else float(out)
 
     return phi
@@ -582,14 +588,13 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     the max change of phi the step would make (None on an infeasible step,
     which takes none).  Each trace entry also has 'depth', the number of
     history differences its step mixed (0 for a plain step, 1 for a secant), and
-    'kernel_built', whether that iteration built a panel kernel.
+    'kernel_built', whether that iteration built a panel kernel.  An
+    infeasible entry also has 'min_Kphi', the least grid value of K phi,
+    and 'min_Kphi_at', the node where it falls.
     The change of phi, which stalls at eps^(1/p) at a zero on a grid node,
     decides only 'diverged'.  A seed with a non-finite value at a grid or
     panel node raises EvaluationError naming the first such node.
     """
-    even = cfg.p % 2 == 0
-    if even and sign_template is None:
-        sign_template = _default_even_template
     L = cfg.grid_halfwidth
     n_half = int(round(L / cfg.grid_step))
     ts = np.linspace(-L, L, 2 * n_half + 1)
@@ -617,8 +622,10 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         power = _equation_power(vals, cfg.p)
         f = A - power
         eq_res = float(np.max(np.abs(f)))
-        if even and float(np.min(A)) < -cfg.tol:
-            trace.append({"iteration": it, "change": None, "residual": eq_res, "depth": 0, "kernel_built": built})
+        low = int(np.argmin(A))
+        if cfg.p % 2 == 0 and A[low] < -cfg.tol:
+            trace.append({"iteration": it, "change": None, "residual": eq_res, "depth": 0, "kernel_built": built,
+                          "min_Kphi": float(A[low]), "min_Kphi_at": float(ts[low])})
             status = "infeasible"
             break
         if trace and eq_res >= trace[-1]["residual"]:
@@ -633,10 +640,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         # the p-th root amplifies rounding noise near psi = 0 (|eps|^(1/p) is
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         psi = np.where(np.abs(psi) < 64 * np.finfo(float).eps * scale, 0.0, psi)
-        if even:
-            root = sign_template(ts) * np.clip(psi, 0.0, None) ** (1.0 / cfg.p)
-        else:
-            root = np.sign(psi) * np.abs(psi) ** (1.0 / cfg.p)
+        root = _equation_root(psi, cfg.p, ts, sign_template)
         trace.append({"iteration": it, "change": float(np.max(np.abs(root - vals))), "residual": eq_res,
                       "depth": depth, "kernel_built": built})
         if eq_res < cfg.tol:
@@ -730,7 +734,8 @@ def limit_diagnostics(phi: GridFunction, p: int, edge: float = 8.0) -> LimitRepo
 
     The admissible limit set is {0, 1} for even p and {0, +-1} for odd p;
     the report is flagged admissible when both tail means sit within 1e-2
-    of the set.
+    of the set.  (phi^p)' is of the equation's power (|phi|^p for even p):
+    central differences, one-sided at the grid's ends, interpolated to +-edge.
     """
     t, v = phi.nodes, phi.values
     if t[0] > -edge or t[-1] < edge:
@@ -742,11 +747,8 @@ def limit_diagnostics(phi: GridFunction, p: int, edge: float = 8.0) -> LimitRepo
     right_limit = min(limits, key=lambda c: abs(c - right_mean))
     left_distance = abs(left_mean - left_limit)
     right_distance = abs(right_mean - right_limit)
-    power = v * np.abs(v) ** (p - 1)
-    h = float(np.median(np.diff(t)))
-    interp = lambda s: float(np.interp(s, t, power))
-    dpow_left = (interp(-edge + h) - interp(-edge - h)) / (2 * h)
-    dpow_right = (interp(edge + h) - interp(edge - h)) / (2 * h)
+    slope = np.gradient(_equation_power(v, p), float(np.median(np.diff(t))))
+    dpow_left, dpow_right = (float(d) for d in np.interp([-edge, edge], t, slope))
     return LimitReport(
         left_mean=left_mean,
         right_mean=right_mean,

@@ -227,6 +227,8 @@ class TestSolveCommand:
         with open(tmp_path / "p2_trace.jsonl") as fh:
             entries = [json.loads(line, parse_constant=reject) for line in fh]
         assert entries and entries[-1]["change"] is None
+        # where K phi went negative: its least grid value and that node
+        assert entries[-1]["min_Kphi"] < 0 and -10.0 <= entries[-1]["min_Kphi_at"] <= 10.0
         json.loads((tmp_path / "p2_verify.json").read_text(), parse_constant=reject)
 
     def test_json_writers_refuse_nan(self, tmp_path, monkeypatch):

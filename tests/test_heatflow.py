@@ -124,10 +124,9 @@ class TestConservationLaws:
         assert result.converged
         assert heatflow.energy_identity_residual(result.phi, 5, domain=(-8, 8)) < 1e-8
 
-    def test_energy_identity_grades_at_the_kink(self, solved_p3, monkeypatch):
-        # the converged odd kink has phi(0) == 0 exactly: the rule of phi^{2p}
-        # must be graded at that zero, not at the scan points either side of
-        # it; the entire (K phi)^2 takes the plain rule
+    def test_energy_identity_takes_one_plain_rule(self, solved_p3, monkeypatch):
+        # (K phi)^2 and phi^{2p} = (phi^p)^2 are both entire, so one plain
+        # t-rule takes both integrals, even across the kink's zero at 0
         breaks = []
         original = heatflow.panel_rule
 
@@ -137,7 +136,26 @@ class TestConservationLaws:
 
         monkeypatch.setattr(heatflow, "panel_rule", spy)
         heatflow.energy_identity_residual(solved_p3.phi, 3, domain=(-8, 8))
-        assert breaks == [[], [0.0]]
+        assert breaks == [[]]
+
+    @pytest.mark.parametrize(
+        "p, seed", [(3, None), (5, erf), (3, lambda t: erf(1.3 * (np.asarray(t, dtype=float) - 0.051)))],
+        ids=["solved_p3", "p5_kink", "off_centre_p3"],
+    )
+    def test_energy_identity_loses_no_digits_to_the_second_rule(self, p, seed, solved_p3):
+        # phi^{2p} on the plain rule against the rule graded at phi's sign
+        # changes: on a solution the two agree to rounding
+        if seed is None:
+            result = solved_p3
+        else:
+            result = solver.fixed_point_iterate(solver.SolverConfig(p=p, grid_step=0.025), seed)
+            assert result.converged
+        phi, (a, b) = result.phi, (-8.0, 8.0)
+        breaks = solver.detect_sign_changes(phi, a, b, 801)
+        ts, wt = solver.panel_rule(a, b)
+        tg, wg = solver.panel_rule(a, b, breaks)
+        graded = abs(float(wt @ solver.apply_K_panels(phi, ts, breaks) ** 2 - wg @ phi(tg) ** (2 * p)))
+        assert heatflow.energy_identity_residual(phi, p, domain=(a, b)) == pytest.approx(graded, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize(
         "f",

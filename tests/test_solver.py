@@ -167,6 +167,17 @@ class TestPowerInterpolant:
         assert phi(0.3) == pytest.approx(0.3, rel=1e-12)
         assert phi(-0.3) == pytest.approx(-0.3, rel=1e-12)
 
+    def test_even_power_is_entire_across_a_jump(self):
+        # section 7: an even-p phi may jump where |phi|^p stays entire; here
+        # |phi|^2 = 2 and phi jumps at 0, the template's sign change
+        nodes = np.linspace(-10, 10, 801)
+        step = np.where(nodes >= 0, 1.0, -1.0) * math.sqrt(2.0)
+        phi = solver.power_interpolant(nodes, step, 2)
+        mid = 0.5 * (nodes[1:] + nodes[:-1])
+        np.testing.assert_allclose(phi(mid), np.where(mid >= 0, 1.0, -1.0) * math.sqrt(2.0), rtol=0, atol=1e-15)
+        kphi = solver.apply_K_panels(phi, nodes, [0.0])
+        np.testing.assert_allclose(kphi, math.sqrt(2.0) * erf(nodes), rtol=0, atol=1e-14)
+
     def test_constant_extension(self):
         nodes = np.linspace(-5, 5, 101)
         phi = solver.power_interpolant(nodes, np.tanh(nodes), 3)
@@ -1076,6 +1087,23 @@ class TestLimitDiagnostics:
         ts = np.linspace(-10, 10, 401)
         report = solver.limit_diagnostics(basis.GridFunction(ts, 0.5 * (1 - ts**2)), 2)
         assert not report.admissible
+
+    def test_edge_slope_is_one_sided_at_the_grids_end(self):
+        # a grid ending at the edge has no node past it: the slope there is
+        # the one-sided difference, not half of it
+        result = solver.fixed_point_iterate(solver.SolverConfig(p=3, grid_halfwidth=8.0), erf)
+        assert result.converged
+        t, power = result.grid.nodes, result.grid.values**3
+        report = solver.limit_diagnostics(result.grid, 3)
+        assert report.dpow_right == pytest.approx((power[-1] - power[-2]) / (t[-1] - t[-2]), rel=1e-12)
+
+    def test_even_p_slope_is_of_the_equations_power(self):
+        # phi = sgn(t) (1 - e^{-|t|}): the equation's power is (1 - e^{-|t|})^2,
+        # falling towards t = -8, where the signed power rises
+        ts = np.linspace(-10, 10, 401)
+        values = np.sign(ts) * (1.0 - np.exp(-np.abs(ts)))
+        report = solver.limit_diagnostics(basis.GridFunction(ts, values), 2)
+        assert report.dpow_left == pytest.approx(-2.0 * (1.0 - math.exp(-8.0)) * math.exp(-8.0), rel=1e-3)
 
     def test_narrow_grid_rejected(self):
         ts = np.linspace(-5, 5, 101)
