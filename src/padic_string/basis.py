@@ -305,30 +305,34 @@ def _conversion_matrix(rows: int, cols: int, signed: bool) -> np.ndarray:
     return np.where((gap >= 0) & (gap % 2 == 0), entries, 0.0)
 
 
+def _convert(s: HermiteSeries, M: int | None, source: str, message: str) -> HermiteSeries:
+    """s, which must be in basis source (else ValueError(message)), in the other basis to order M.
+
+    M defaults to s.order + 16 and must cover the stored coefficients.
+    """
+    if s.basis != source:
+        raise ValueError(message)
+    if M is None:
+        M = s.order + 16
+    if M < s.order:
+        raise ValueError("truncation order must cover the stored coefficients")
+    signed = source == "V"
+    coeffs = _conversion_matrix(M + 1, s.coeffs.size, signed) @ s.coeffs
+    return HermiteSeries(basis="H" if signed else "V", coeffs=coeffs)
+
+
 def convert_a_to_b(s: HermiteSeries, M: int | None = None) -> HermiteSeries:
     """b_n = sum_{m>=n, m=n mod 2} 2^(n-m) / ((m-n)/2)! a_m, truncated at M.
 
     Coefficients beyond the stored order are exact zeros, so the sums are
     finite and the conversion is exact up to rounding.
     """
-    if s.basis != "H":
-        raise ValueError("convert_a_to_b expects an H-basis series")
-    if M is None:
-        M = s.order + 16
-    if M < s.order:
-        raise ValueError("truncation order must cover the stored coefficients")
-    return HermiteSeries(basis="V", coeffs=_conversion_matrix(M + 1, s.coeffs.size, signed=False) @ s.coeffs)
+    return _convert(s, M, "H", "convert_a_to_b expects an H-basis series")
 
 
 def convert_b_to_a(s: HermiteSeries, M: int | None = None) -> HermiteSeries:
     """a_n = sum_{m>=n, m=n mod 2} (-1)^((m-n)/2) 2^(n-m) / ((m-n)/2)! b_m."""
-    if s.basis != "V":
-        raise ValueError("convert_b_to_a expects a V-basis series")
-    if M is None:
-        M = s.order + 16
-    if M < s.order:
-        raise ValueError("truncation order must cover the stored coefficients")
-    return HermiteSeries(basis="H", coeffs=_conversion_matrix(M + 1, s.coeffs.size, signed=True) @ s.coeffs)
+    return _convert(s, M, "V", "convert_b_to_a expects a V-basis series")
 
 
 def parseval_residual(f, s: HermiteSeries, rule: QuadratureRule) -> float:

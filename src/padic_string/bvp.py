@@ -125,13 +125,10 @@ def solve_bvp_3approx(alpha: float, a_targets=None) -> np.ndarray:
 
 def gaussian_part_monomials(az: ErfAnsatz) -> np.ndarray:
     """Monomial coefficients (ascending) of the polynomial sum c_m H_m(alpha t)."""
-    deg = az.c.size - 1
-    out = np.zeros(deg + 1)
-    for m, cm in enumerate(az.c):
-        hm = np.polynomial.hermite.herm2poly([0.0] * m + [1.0])
-        for k, hk in enumerate(hm):
-            out[k] += cm * hk * az.alpha**k
-    return out
+    # herm2poly trims trailing zeros; pad back to one coefficient per c_m
+    mono = np.polynomial.hermite.herm2poly(az.c)
+    mono = np.pad(mono, (0, az.c.size - mono.size))
+    return mono * az.alpha ** np.arange(az.c.size)
 
 
 @dataclass(frozen=True)

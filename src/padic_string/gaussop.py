@@ -182,17 +182,6 @@ def periodic_solution(k: int, sign: int = +1):
     return phi, u
 
 
-def _block_terms(coeffs: np.ndarray, start: int):
-    """Index pairs (a_{start+4l}, l) over the stored coefficients.
-
-    Every stored term is kept: solution coefficient sequences can grow like
-    (2 sqrt(2 pi))^n, so a cutoff on the factorial weight alone would drop
-    terms that are still O(1).  Beyond the stored order the coefficients
-    are exact zeros and the sum is complete.
-    """
-    return [(coeffs[idx], l) for l, idx in enumerate(range(start, coeffs.size, 4))]
-
-
 def linear_block_residual(s: HermiteSeries, kappa: int) -> list[float]:
     """Residuals of the two factorial-weighted block sums for residue class kappa.
 
@@ -210,16 +199,13 @@ def linear_block_residual(s: HermiteSeries, kappa: int) -> list[float]:
         raise ValueError("kappa must be one of 0, 1, 2, 3")
     if s.basis != "H":
         raise ValueError("block residuals are defined for H-basis coefficients")
+    # every stored term enters: solution coefficients can grow like (2 sqrt(2 pi))^n, so a cutoff
+    # on the factorial weight alone would drop terms that are still O(1)
+    longest = s.coeffs[2 + kappa :: 4].size
+    weights = np.array([[1.0 / (16.0**l * math.factorial(2 * l + j)) for l in range(longest)] for j in (1, 2)])
     out: list[float] = []
-    k = 0
-    while 2 + 4 * k + kappa <= s.order:
-        start = 2 + 4 * k + kappa
-        r1 = 0.0
-        r2 = 0.0
-        for a, l in _block_terms(s.coeffs, start):
-            r1 += a / (2.0 ** (4 * l) * math.factorial(2 * l + 1))
-            r2 += a / (2.0 ** (4 * l) * math.factorial(2 * l + 2))
-        out.extend([r1, r2])
-        k += 1
+    for start in range(2 + kappa, s.order + 1, 4):
+        block = s.coeffs[start::4]
+        out.extend((weights[:, : block.size] @ block).tolist())
     return out
 

@@ -701,10 +701,7 @@ def conservation_laws_check(phi, p: int, N: int, breaks=None) -> np.ndarray:
         breaks = detect_sign_changes(phi)
     t, w = panel_rule(-_LAWS_WINDOW, _LAWS_WINDOW, breaks)
     fv = np.asarray(phi(t), dtype=float)
-    # the equation's power, |phi|^p for even p, as the modulus of the weighted
-    # signed power: the same product and rounding as for odd p
-    weighted = w * np.exp(-t * t) * fv * np.abs(fv) ** (p - 1)
-    lhs = hermite_table(N, t) @ (np.abs(weighted) if p % 2 == 0 else weighted) / SQRT_PI
+    lhs = hermite_table(N, t) @ (w * np.exp(-t * t) * _equation_power(fv, p)) / SQRT_PI
     rhs = modified_hermite_table(N, t) @ (w * np.exp(-t * t / 2.0) * fv) / (SQRT_PI * math.sqrt(2.0))
     return np.abs(lhs - rhs)
 

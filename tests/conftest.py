@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erf
 
 from padic_string import basis, solver
+from reference_kink import ReferenceKink
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,12 @@ def solved_p3():
     result = solver.fixed_point_iterate(cfg, lambda t: erf(t))
     assert result.converged
     return result
+
+
+@pytest.fixture(scope="session")
+def reference_kinks():
+    """The independent Nystrom references of the odd kink for p = 3 and p = 5, built once."""
+    return {p: ReferenceKink(p) for p in (3, 5)}
 
 
 def hermite_fn(n):

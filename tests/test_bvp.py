@@ -13,6 +13,13 @@ PRINTED_MONOMIALS = np.array([0.4017, -0.2200, -0.2207, 0.4149])
 INV_SQRT_2PI = 1.0 / math.sqrt(2 * math.pi)
 
 
+def _closed_form_monomials(az):
+    n = az.c.size
+    return np.array(
+        [az.alpha**k * math.fsum(az.c[m] * math.factorial(m) * basis.coeff_c(m, k) for m in range(n)) for k in range(n)]
+    )
+
+
 def erf_step(t):
     return 0.5 + 0.5 * erf(np.asarray(t, dtype=float))
 
@@ -138,6 +145,21 @@ class TestAssembledSolution:
         az = bvp.ErfAnsatz(alpha=ALPHA, c=PRINTED_C)
         mono = bvp.gaussian_part_monomials(az)
         assert np.max(np.abs(mono - PRINTED_MONOMIALS)) < 3e-4
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("alpha_sq", [1.05, 1.1, 1.5, 2.5])
+    def test_monomials_match_the_closed_form_on_the_cli_draws(self, alpha_sq, sign):
+        # H_m(x) = m! sum_k c_{m,k} x^k, so the coefficient of t^k is alpha^k sum_m c_m m! c_{m,k}
+        alpha = math.sqrt(alpha_sq)
+        az = bvp.ErfAnsatz(alpha=alpha, c=bvp.solve_bvp_3approx(alpha, bvp.branch_c_targets(sign)))
+        assert bvp.gaussian_part_monomials(az) == pytest.approx(_closed_form_monomials(az), rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("c", [[0.3014, 0.1648, -0.05016, 0.0], [0.3014, 0.0, 0.0], [0.0]])
+    def test_monomials_keep_one_entry_per_c_when_its_tail_is_zero(self, c):
+        az = bvp.ErfAnsatz(alpha=ALPHA, c=c)
+        mono = bvp.gaussian_part_monomials(az)
+        assert mono.shape == (len(c),)
+        assert mono == pytest.approx(_closed_form_monomials(az), rel=1e-14, abs=1e-16)
 
     def test_hermite_vs_monomial_evaluation(self):
         # the printed monomial line of the damped factor against the

@@ -269,6 +269,22 @@ class TestPeriodicSolutions:
         assert u(0.25, ts) == pytest.approx(u(1.25, ts), abs=1e-12)
 
 
+def _term_by_term_blocks(coeffs, kappa):
+    """The (6.8) block sums one term at a time, as a reference for linear_block_residual."""
+    out = []
+    k = 0
+    while 2 + 4 * k + kappa < len(coeffs):
+        start = 2 + 4 * k + kappa
+        r1 = 0.0
+        r2 = 0.0
+        for l, idx in enumerate(range(start, len(coeffs), 4)):
+            r1 += coeffs[idx] / (2.0 ** (4 * l) * math.factorial(2 * l + 1))
+            r2 += coeffs[idx] / (2.0 ** (4 * l) * math.factorial(2 * l + 2))
+        out.extend([r1, r2])
+        k += 1
+    return out
+
+
 class TestLinearBlocks:
     def test_free_head_coefficients(self):
         series = basis.HermiteSeries("H", [3.7, -1.2])
@@ -299,6 +315,15 @@ class TestLinearBlocks:
         closed = np.array([(lam**n).real for n in range(41)])
         scale = np.maximum(np.abs(lam) ** np.arange(41), 1.0)
         assert np.max(np.abs(proj.coeffs - closed) / scale) < 1e-10
+
+    @pytest.mark.parametrize("kappa", range(4))
+    def test_matches_the_term_by_term_sums(self, kappa):
+        # coefficients grown like 5^n, so the alternating blocks mix large middle terms
+        rng = np.random.default_rng(31 + kappa)
+        for order in range(2, 41):
+            coeffs = rng.standard_normal(order + 1) * 5.0 ** np.arange(order + 1)
+            got = gaussop.linear_block_residual(basis.HermiteSeries("H", coeffs), kappa)
+            assert got == pytest.approx(_term_by_term_blocks(coeffs, kappa), rel=1e-13)  # 3.5e-14 at most
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
