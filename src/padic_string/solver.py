@@ -146,7 +146,9 @@ def _zero_exponent(f, t0: float, s) -> float:
     vals = np.abs(np.asarray(f(t0 + s), dtype=float))
     if np.any(vals == 0):
         raise ValueError(f"function vanishes on the fit offsets at t0={t0}; cannot fit an exponent")
-    return float(np.polyfit(np.log(s), np.log(vals), 1)[0])
+    x = np.log(s)
+    x = x - x.mean()
+    return float(x @ np.log(vals) / (x @ x))  # the centred normal equation of a line
 
 
 def _refined_sign_changes(f, ts, fv) -> list[float]:
@@ -251,9 +253,12 @@ class _PanelKernel:
             near[:, part] = weighted[:, cols] @ band.T
         return near
 
-    def __call__(self, f) -> tuple[np.ndarray, np.ndarray]:
-        """K f and, on the narrow band, K|f| at ts: the second is the scale of K f's rounding."""
-        fv = np.broadcast_to(np.asarray(f(self.tau), dtype=float), self.tau.shape)  # a constant f may return a scalar
+    def __call__(self, fv) -> tuple[np.ndarray, np.ndarray]:
+        """K f and, on the narrow band, K|f| at ts, from the values fv of f at self.tau.
+
+        The second is the scale of K f's rounding.  A scalar fv is a constant f.
+        """
+        fv = np.broadcast_to(np.asarray(fv, dtype=float), self.tau.shape)
         if not np.isfinite(fv).all():
             node = float(self.tau[np.argmin(np.isfinite(fv))])
             raise EvaluationError(f"non-finite integrand value at tau={node}", node)
@@ -290,12 +295,16 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     non-finite value of f raises EvaluationError naming the first panel
     node where it occurs.  An f that carries a _panel_kernel attribute, as
     the evaluator a fixed_point_iterate run made does, has it reused when
-    it fits ts, breaks and halfwidth; any other call builds a kernel.
+    it fits ts, breaks and halfwidth, and when f also carries the run's
+    last product, _panel_product, a copy of that K f is returned without
+    applying the kernel again; any other call builds a kernel.
     """
     kernel = getattr(f, "_panel_kernel", None)
     if kernel is None or not kernel.fits(ts, breaks, halfwidth):
         kernel = _PanelKernel(ts, breaks, halfwidth)
-    return kernel(f)[0]
+    elif hasattr(f, "_panel_product"):
+        return f._panel_product[0].copy()
+    return kernel(f(kernel.tau))[0]
 
 
 @dataclass(frozen=True)
@@ -420,6 +429,8 @@ def _default_even_template(t):
 def _equation_root(psi, p: int, t, sign_template=None):
     """phi from its equation's power psi at t: sgn(psi) |psi|^(1/p) for odd p; for even p, which
     loses the sign, the template's sign (default sgn(t)) times max(psi, 0)^(1/p)."""
+    if p == 3:
+        return np.cbrt(psi)  # about 5 times faster than the power below
     if p % 2 == 1:
         return np.sign(psi) * np.abs(psi) ** (1.0 / p)
     template = _default_even_template if sign_template is None else sign_template
@@ -452,6 +463,34 @@ def _lagrange_maps() -> np.ndarray:
 _STENCIL_MAPS = _lagrange_maps()
 
 
+def _uniform_knots(nodes) -> tuple[np.ndarray, float]:
+    """The nodes of power_interpolant with +inf appended, and their step h; ValueError if unfit."""
+    nodes = np.asarray(nodes, dtype=float)
+    n = nodes.size
+    if n < _STENCIL:
+        raise ValueError(f"the power interpolant needs at least {_STENCIL} nodes, got {n}")
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    h = (hi - lo) / (n - 1)
+    gaps = np.diff(nodes)
+    if not (h > 0 and np.all(np.abs(gaps - h) <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi)))):
+        raise ValueError(f"the power interpolant needs evenly spaced increasing nodes, got gaps "
+                         f"from {float(np.min(gaps))} to {float(np.max(gaps))}")
+    return np.append(nodes, np.inf), h
+
+
+def _locate(knots, h: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """The piece i of each t clipped to the nodes, knots[i] <= t < knots[i+1], and y = (t - knots[i]) / h.
+
+    knots are _uniform_knots', so the last node is a piece of its own.
+    """
+    x = np.minimum(np.maximum(t, knots[0]), knots[-2])
+    # the floor, as x >= knots[0]; mode "clip" takes a NaN's index to a NaN value
+    i = ((x - knots[0]) / h).astype(np.intp)
+    i += x >= knots.take(i + 1, mode="clip")  # a node whose quotient rounds below its index
+    # the offset from the node itself: (x - knots[0]) / h - i loses ~400 ulp at the far end
+    return i, (x - knots.take(i, mode="clip")) / h
+
+
 def power_interpolant(nodes, values, p: int, sign_template=None):
     """Evaluate a grid iterate anywhere via a local degree-7 interpolant of its p-th power.
 
@@ -467,20 +506,15 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     of h, as linspace and arange round them, and each must have a value
     with a finite power; other input raises ValueError.  Each piece is
     stored as coefficients in y = (t - x_i) / h, with its node's power as
-    the constant term, so it meets every node value exactly.
+    the constant term, so it meets every node value exactly.  Its values
+    at points fixed in advance, as the panel nodes of fixed_point_iterate's
+    kernel, are also a linear map of the powers (_stencil_map), which
+    locates the points as the evaluator does and agrees with it to a few
+    ulp of the stencil's powers.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = nodes.size
-    if n < _STENCIL:
-        raise ValueError(f"the power interpolant needs at least {_STENCIL} nodes, got {n}")
-    lo, hi = float(nodes[0]), float(nodes[-1])
-    h = (hi - lo) / (n - 1)
-    gaps = np.diff(nodes)
-    if not (h > 0 and np.all(np.abs(gaps - h) <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi)))):
-        raise ValueError(f"the power interpolant needs evenly spaced increasing nodes, got gaps "
-                         f"from {float(np.min(gaps))} to {float(np.max(gaps))}")
-    powers = _equation_power(values, p)
+    knots, h = _uniform_knots(nodes)
+    nodes, n = knots[:-1], knots.size - 1
+    powers = _equation_power(np.asarray(values, dtype=float), p)
     if powers.shape != nodes.shape or not np.all(np.isfinite(powers)):
         raise ValueError("the power interpolant needs one value per node, with a finite p-th power")
     # column i: the piece on [nodes[i], nodes[i+1]], which takes the map of stencil offset
@@ -490,16 +524,10 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     coeffs[:, n - 4 : n - 1] = (_STENCIL_MAPS[-3:] @ powers[-_STENCIL:]).T  # the last three, k = 4, 5, 6
     coeffs[:, 3 : n - 4] = _STENCIL_MAPS[3] @ np.lib.stride_tricks.sliding_window_view(powers, _STENCIL).T
     coeffs[0] = powers
-    knots = np.append(nodes, np.inf)
 
     def phi(t):
         t = np.asarray(t, dtype=float)
-        x = np.minimum(np.maximum(t, lo), hi)
-        # the floor, as x >= lo; mode "clip" takes a NaN's index to a NaN value
-        i = ((x - lo) / h).astype(np.intp)
-        i += x >= knots.take(i + 1, mode="clip")  # a node whose quotient rounds below its index
-        # the offset from the node itself: (x - lo) / h - i loses ~400 ulp at the far end
-        y = (x - nodes.take(i, mode="clip")) / h
+        i, y = _locate(knots, h, t)
         c = coeffs.take(i, axis=1, mode="clip")
         sv = c[-1]  # a row of this call's own gather, so Horner runs in place
         for row in c[-2::-1]:
@@ -509,6 +537,36 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
         return out if out.shape else float(out)
 
     return phi
+
+
+# _STENCIL_MAPS by [power of y, node, offset k], and at k = 7 the constant from the last node,
+# which is a piece of its own
+_PIECE_MAPS = np.zeros((_STENCIL, _STENCIL, _STENCIL))
+_PIECE_MAPS[..., :-1] = _STENCIL_MAPS.transpose(1, 2, 0)
+_PIECE_MAPS[0, -1, -1] = 1.0
+
+
+def _stencil_map(nodes, t):
+    """The linear map from the equation's powers at nodes to power_interpolant's power at the points t.
+
+    Each point is located as power_interpolant's evaluator locates it
+    (_locate), clipped to the grid, so past its ends the edge power repeats
+    as a constant.  The map keeps, per point, the first node of its piece's
+    stencil and the 8 weights of the piece's polynomial at its offset y:
+    the rows of its Lagrange map, summed by Horner in y.  The returned
+    callable takes the powers psi at nodes to sum_j w_j psi_j at each
+    point: one gather and one product, with no interpolant to build.
+    """
+    knots, h = _uniform_knots(nodes)
+    i, y = _locate(knots, h, np.asarray(t, dtype=float))
+    start = np.clip(i - 3, 0, knots.size - 1 - _STENCIL)  # power_interpolant's stencil of each piece
+    maps = _PIECE_MAPS.take(i - start, axis=2)  # [power of y, node of the stencil, point]
+    weights = maps[-1]
+    for row in maps[-2::-1]:
+        weights *= y
+        weights += row
+    cols = start + np.arange(_STENCIL)[:, None]
+    return lambda psi: np.einsum("jk,jk->k", weights, psi.take(cols))
 
 
 @dataclass
@@ -526,18 +584,24 @@ class IterationResult:
         return self.status == "converged"
 
 
+def _fft_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: each 3^b 5^c below 2m times the least power of 2 that reaches m."""
+    odd = (3**b * 5**c for b in range(m.bit_length() + 1) for c in range(m.bit_length() + 1))
+    return min(k << (-(-m // k) - 1).bit_length() for k in odd if k < 2 * m)
+
+
 def _preconditioner(p: int, h: float, n: int):
     """P = (I - K/p)^{-1} on n grid values of step h, as a map of numpy arrays.
 
     K e^{i xi t} = e^{-xi^2/4} e^{i xi t} (the paper's section 6), so P
     multiplies the plane wave of frequency xi by 1/(1 - e^{-xi^2/4}/p): one
-    rfft/irfft pair of the values zero-padded to nfft, the first power of 2
-    >= n + 8/h.  The multiplier's poles nearest the real line sit at
-    xi = +-2i sqrt(ln p), so P's kernel decays like e^{-lambda |t|} with
-    lambda = 2 sqrt(ln p), and 8 units of zeros keep the periodic
-    wrap-around below e^{-8 lambda}.
+    rfft/irfft pair of the values zero-padded to nfft, the least
+    2^a 3^b 5^c >= n + 8/h (_fft_length), a length pocketfft factors fast.
+    The multiplier's poles nearest the real line sit at xi = +-2i sqrt(ln p),
+    so P's kernel decays like e^{-lambda |t|} with lambda = 2 sqrt(ln p),
+    and 8 units of zeros keep the periodic wrap-around below e^{-8 lambda}.
     """
-    nfft = 1 << (math.ceil(n + 8.0 / h) - 1).bit_length()
+    nfft = _fft_length(math.ceil(n + 8.0 / h))
     xi = (2.0 * math.pi / (nfft * h)) * np.arange(nfft // 2 + 1)
     gain = 1.0 / (1.0 - np.exp(-0.25 * xi * xi) / p)
     return lambda f: np.fft.irfft(np.fft.rfft(f, nfft) * gain, nfft)[:n]
@@ -553,12 +617,19 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel whose sides are substituted at the iterate's sign
     changes, built once per break set and rebuilt only when a break
-    appears, vanishes or moves by more than _BREAK_TOL.  The breaks come from the signs of the grid
-    values: a node value of exactly 0 is a break, and each strict sign
-    bracket between nodes is bisected on the iterate's evaluator, the
-    refinement detect_sign_changes runs on its own samples.  The last
-    kernel travels with the returned evaluator as its _panel_kernel, when
-    the run made that evaluator (never on the caller's seed), for
+    appears, vanishes or moves by more than _BREAK_TOL.  The first
+    iteration applies it to phi0 at the kernel's nodes tau; every later one
+    to the root of psi_tau = M psi, with psi the grid powers and M the
+    stencil map of power_interpolant onto tau (_stencil_map), built with
+    the kernel, so that a step builds no interpolant.  The breaks come from
+    the signs of the grid values: a node value of exactly 0 is a break, and
+    each strict sign bracket between nodes is bisected on the iterate's
+    power_interpolant, the refinement detect_sign_changes runs on its own
+    samples; only such a bracket, as an off-centre zero makes, builds one
+    inside the loop.  The returned evaluator is built once, after the loop.
+    When the run made it (never on the caller's seed), it carries the last
+    kernel as its _panel_kernel and, when the last step applied K to the
+    returned iterate, that K phi and K|phi| as its _panel_product, for
     apply_K_panels and residual on the grid at those breaks.
 
     The steps are Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni,
@@ -605,21 +676,29 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     if bad.size:
         node = float(ts[bad[0]])
         raise EvaluationError(f"non-finite seed value at t={node}", node)
-    evaluate = phi0
+    evaluate = phi0  # vals' evaluator; None until a bracket or the result needs one
+
+    def evaluate_lazily(t):
+        nonlocal evaluate
+        if evaluate is None:
+            evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
+        return evaluate(t)
 
     trace = []
     status = "max_iter"
     iterations = 0
-    apply_K = None
+    apply_K = product = None
     previous = None  # (phi^p + P f, P f) of the last step, None before the first and after a restart
     for it in range(cfg.max_iter):
         iterations = it + 1
-        breaks = _refined_sign_changes(evaluate, ts, vals)
+        breaks = _refined_sign_changes(evaluate_lazily, ts, vals)
         built = apply_K is None or not _breaks_agree(breaks, apply_K.breaks)
         if built:
             apply_K = _PanelKernel(ts, breaks)
-        A, scale = apply_K(evaluate)
+            to_tau = _stencil_map(ts, apply_K.tau)
         power = _equation_power(vals, cfg.p)
+        fv = phi0(apply_K.tau) if it == 0 else _equation_root(to_tau(power), cfg.p, apply_K.tau, sign_template)
+        A, scale = product = apply_K(fv)
         f = A - power
         eq_res = float(np.max(np.abs(f)))
         low = int(np.argmin(A))
@@ -646,14 +725,17 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         if eq_res < cfg.tol:
             status = "converged"
             break
-        vals = root
-        evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
+        vals, evaluate, product = root, None, None
         recent = [entry["change"] for entry in trace[-20:]]
         if len(recent) == 20 and all(x < y for x, y in zip(recent, recent[1:])):
             status = "diverged"
             break
+    if evaluate is None:
+        evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
     if evaluate is not phi0:  # the caller's seed outlives the run
         evaluate._panel_kernel = apply_K
+        if product is not None:  # K of the returned iterate: its own, not the kernel's, which serves any fit
+            evaluate._panel_product = product
     return IterationResult(
         grid=GridFunction(nodes=ts, values=vals),
         phi=evaluate,
@@ -672,8 +754,11 @@ def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> floa
     the samples.  The kernel narrows its band per call when the stated
     tail bound allows it (the banded _PanelKernel), so only candidates
     growing like exp(c t^2) use the whole window, which must then be
-    widened until the kernel beats the growth.  The evaluator of a fixed_point_iterate result carries its
-    run's kernel, which is reused on the run's grid and breaks.
+    widened until the kernel beats the growth.  The evaluator of a
+    fixed_point_iterate result carries its run's kernel, which is reused on
+    the run's grid and breaks, and, when the run's last step applied K to
+    the returned iterate, that K phi, which is then taken as it is: the
+    grid check of a converged run applies no kernel.
     """
     if ts is None:
         ts = phi.nodes if isinstance(phi, GridFunction) else np.arange(-2.0, 2.0 + 0.025, 0.05)

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import inspect
 import math
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -198,9 +200,9 @@ class TestPowerInterpolant:
         values = rng.uniform(-1e3, 1e3, n)
         t = lo + (nodes[-1] - lo) * rng.uniform(-0.25, 1.25, 40)
         powers = values * np.abs(values) ** 2
-        # p = 1 returns the interpolant itself; p = 3 its real cube root
+        # p = 1 returns the interpolant itself; p = 3 its real cube root, by the package's root
         got = solver.power_interpolant(nodes, powers, 1)(t)
-        assert np.array_equal(solver.power_interpolant(nodes, values, 3)(t), np.sign(got) * np.abs(got) ** (1 / 3))
+        assert np.array_equal(solver.power_interpolant(nodes, values, 3)(t), solver._equation_root(got, 3, t))
         # the piece of [x_i, x_i+1] interpolates the 8 nodes from x_i-3 on, moved inside the grid
         x = np.clip(t, lo, nodes[-1])
         piece = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, n - 2)
@@ -252,6 +254,57 @@ class TestPowerInterpolant:
     def test_rejects_values_without_a_finite_power_per_node(self, values):
         with pytest.raises(ValueError, match="one value per node"), np.errstate(over="ignore"):
             solver.power_interpolant(np.arange(8.0), values, 3)
+
+
+class TestStencilMap:
+    @staticmethod
+    def stencil_scale(nodes, psi, t):
+        """max |psi| over the 8 nodes of each point's stencil, located apart from the package."""
+        x = np.clip(t, nodes[0], nodes[-1])
+        piece = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, nodes.size - 2)
+        start = np.clip(piece - 3, 0, nodes.size - 8)
+        return np.max(np.abs(psi[start[:, None] + np.arange(8)]), axis=1)
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    @pytest.mark.parametrize("breaks", [[0.0], [0.3137]])
+    def test_agrees_with_the_evaluator_at_the_kernels_nodes(self, p, breaks):
+        # the map and the evaluator share one locator; they sum the same polynomial in another
+        # order, so they agree to a few ulp of the stencil's powers, also past the grid's ends
+        ts = np.linspace(-10.0, 10.0, 801)
+        tau = np.concatenate([solver._PanelKernel(ts, breaks).tau, [-30.0, -10.0, 10.0, 25.0]])
+        assert tau.min() < ts[0] and tau.max() > ts[-1]
+        to_tau = solver._stencil_map(ts, tau)
+        kink = np.cbrt(erf(1.3 * (ts - breaks[0])))
+        jump = np.where(ts >= 0.1, 1.0, -1.0) * math.sqrt(2.0) * (1.0 + 0.1 * np.cos(ts))  # even p: |phi|^p is smooth
+        for vals in (kink, jump):
+            psi = solver._equation_power(vals, p)
+            mapped = to_tau(psi)
+            # p = 1: the evaluator's own power, as its root is then the identity
+            evaluated = solver.power_interpolant(ts, psi, 1)(tau)
+            assert np.all(np.abs(mapped - evaluated) <= 4 * np.spacing(self.stencil_scale(ts, psi, tau)))
+            outside = (tau < ts[0]) | (tau > ts[-1])
+            np.testing.assert_array_equal(mapped[outside], np.where(tau[outside] < 0, psi[0], psi[-1]))
+            np.testing.assert_array_equal(solver._equation_root(evaluated, p, tau),
+                                          solver.power_interpolant(ts, vals, p)(tau))
+
+    def test_node_points_take_the_node_powers(self):
+        ts = np.linspace(-2.0, 3.0, 101)
+        psi = np.sin(3.0 * ts) + 0.1 * ts
+        assert np.array_equal(solver._stencil_map(ts, ts)(psi), psi)
+
+    def test_a_centred_solve_builds_one_interpolant(self, monkeypatch):
+        # the zero of a centred kink is the node 0, so no step has a bracket to bisect:
+        # the one interpolant is the returned evaluator
+        built = []
+        original = solver.power_interpolant
+        monkeypatch.setattr(solver, "power_interpolant", lambda *args: built.append(args) or original(*args))
+        result = solver.fixed_point_iterate(solver.SolverConfig(3), erf)
+        assert result.converged and result.iterations > 2
+        assert len(built) == 1
+        # an off-centre zero is bisected on every step after the seed's, and the last serves the result
+        built.clear()
+        result = solver.fixed_point_iterate(solver.SolverConfig(3), lambda t: erf(1.3 * (np.asarray(t) - 1.2345)))
+        assert result.converged and len(built) == result.iterations - 1
 
 
 class TestFixedPoint:
@@ -320,10 +373,10 @@ class TestFixedPoint:
         # strictly, and 20 such changes in a row stop the run
         class Doubling:
             def __init__(self, ts, breaks=(), halfwidth=12.0):
-                self.ts, self.breaks = ts, list(breaks)
+                self.tau, self.breaks = ts, list(breaks)  # its nodes are the rows
 
-            def __call__(self, f):
-                A = (2.0 * np.asarray(f(self.ts), dtype=float)) ** 3
+            def __call__(self, fv):
+                A = (2.0 * np.broadcast_to(fv, self.tau.shape)) ** 3
                 return A, np.abs(A)
 
         monkeypatch.setattr(solver, "_PanelKernel", Doubling)
@@ -393,6 +446,19 @@ class TestZeroLocator:
         assert seen[-1] == solver.detect_sign_changes(result.phi)
         assert abs(seen[-1][0] - s) < 1e-8
 
+    @pytest.mark.parametrize("f, t0, s", [
+        (np.cbrt, 0.0, 2.0 ** -np.arange(6, 18)),
+        (lambda t: np.cbrt(t) * np.exp(-t * t), 0.0, bvp._FIT_S),
+        (lambda t: t, 0.0, bvp._FIT_S),
+        (lambda t: np.cbrt(t - 0.7) * np.exp(-(t - 0.7) ** 2), 0.7, bvp._FIT_S),
+        (lambda t: t**4, 0.0, 0.025 * 2.0 ** np.arange(1, 5)),
+        (lambda t: (t - 0.3) ** 3, 0.3, 0.05 * 2.0 ** np.arange(1, 4)),
+    ])
+    def test_zero_exponent_is_the_least_squares_slope(self, f, t0, s):
+        # the closed-form slope of the log-log line, against numpy's polyfit of the same points
+        want = np.polyfit(np.log(s), np.log(np.abs(f(t0 + s))), 1)[0]
+        assert abs(solver._zero_exponent(f, t0, s) - want) <= 1e-13
+
     def test_bisect_refines_every_bracket_together(self):
         roots = solver._bisect(np.cos, np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.0, 8.0]))
         np.testing.assert_allclose(roots, [0.5, 1.5, 2.5] * np.array(math.pi), rtol=0, atol=1e-14)
@@ -413,7 +479,7 @@ def plain_map(p: int) -> tuple[list, np.ndarray]:
     kernel = solver._PanelKernel(ts, [0.0])
     vals, evaluate, trace = erf(ts), erf, []
     while True:
-        A, scale = kernel(evaluate)
+        A, scale = kernel(evaluate(kernel.tau))
         A = np.where(np.abs(A) < 64 * np.finfo(float).eps * scale, 0.0, A)
         res = float(np.max(np.abs(A - vals * np.abs(vals) ** (p - 1))))
         root = np.sign(A) * np.abs(A) ** (1.0 / p)
@@ -431,14 +497,17 @@ def secant_map(p: int) -> tuple[list, np.ndarray]:
     As plain_map, with the mixed step: g = phi^p + P f with P f the
     preconditioned residual, psi <- g - gamma dg with gamma = (dPf . P f) /
     (dPf . dPf) from the differences to the last step, which a residual
-    that fails to fall clears.
+    that fails to fall clears.  After the seed, K applies to the root of the
+    powers mapped onto the kernel's nodes by the interpolant's stencils.
     """
     ts = np.linspace(-10.0, 10.0, 801)
     kernel = solver._PanelKernel(ts, [0.0])
+    to_tau = solver._stencil_map(ts, kernel.tau)
     precondition = solver._preconditioner(p, 0.025, ts.size)
-    vals, evaluate, trace, previous = erf(ts), erf, [], None
+    vals, trace, previous = erf(ts), [], None
+    at_tau = erf(kernel.tau)
     while True:
-        A, scale = kernel(evaluate)
+        A, scale = kernel(at_tau)
         power = vals * np.abs(vals) ** (p - 1)
         res = float(np.max(np.abs(A - power)))
         if trace and res >= trace[-1]["residual"]:
@@ -450,13 +519,13 @@ def secant_map(p: int) -> tuple[list, np.ndarray]:
             psi, depth = power + pf - (dpf @ pf) / (dpf @ dpf) * dg, 1
         previous = (power + pf, pf)
         psi = np.where(np.abs(psi) < 64 * np.finfo(float).eps * scale, 0.0, psi)
-        root = np.sign(psi) * np.abs(psi) ** (1.0 / p)
+        root = solver._equation_root(psi, p, ts)
         trace.append({"iteration": len(trace), "change": float(np.max(np.abs(root - vals))), "residual": res,
                       "depth": depth, "kernel_built": not trace})
         if res < 1e-10:
             return trace, vals
         vals = root
-        evaluate = solver.power_interpolant(ts, vals, p)
+        at_tau = solver._equation_root(to_tau(vals * np.abs(vals) ** (p - 1)), p, kernel.tau)
 
 
 class TestAndersonMixing:
@@ -521,6 +590,32 @@ class TestPreconditioner:
                 assert np.all(err <= np.exp(-lam * (halfwidth - np.abs(ts[sel]))))
             else:
                 assert err.max() < 1e-10
+
+
+    @pytest.mark.parametrize("step", [0.0125, 0.025, 0.05, 0.25])
+    def test_pads_to_the_least_5_smooth_length(self, step):
+        n = 2 * round(10.0 / step) + 1
+        m = math.ceil(n + 8.0 / step)  # at least 8 units of zeros: the wrap-around stays below e^{-8 lambda}
+
+        def smooth(k):
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            return k == 1
+
+        nfft = solver._fft_length(m)
+        assert nfft >= m and smooth(nfft) and not any(smooth(k) for k in range(m, nfft))
+        assert nfft == {0.0125: 2250, 0.025: 1125, 0.05: 576, 0.25: 120}[step]
+
+    @pytest.mark.parametrize("step", [0.0125, 0.025, 0.05, 0.25])
+    def test_wrap_around_bound_holds_at_each_step(self, step):
+        p, xi = 3, 2.0
+        lam = 2.0 * math.sqrt(math.log(p))
+        ts = np.linspace(-10.0, 10.0, 2 * round(10.0 / step) + 1)
+        sel = np.abs(ts) <= 5.0
+        got = solver._preconditioner(p, step, ts.size)(np.cos(xi * ts))[sel]
+        err = np.abs(got - np.cos(xi * ts[sel]) / (1.0 - math.exp(-xi * xi / 4.0) / p))
+        assert np.all(err <= np.exp(-lam * (10.0 - np.abs(ts[sel]))))
 
 
 class TestTranslationCovariance:
@@ -662,7 +757,8 @@ class TestKernelReuse:
         calls = self.count_panel_rules(monkeypatch)
         got = solver.apply_K_panels(result.phi, nodes, [0.0])
         assert len(calls) == 1
-        np.testing.assert_array_equal(got, solver._PanelKernel(nodes, [0.0])(result.phi)[0])
+        kernel = solver._PanelKernel(nodes, [0.0])
+        np.testing.assert_array_equal(got, kernel(result.phi(kernel.tau))[0])
 
     def test_shared_kernel_needs_the_same_rows_breaks_and_window(self, monkeypatch):
         calls = self.count_panel_rules(monkeypatch)
@@ -682,6 +778,40 @@ class TestKernelReuse:
         )
         built = [entry["kernel_built"] for entry in result.trace]
         assert result.converged and built[0] and sum(built) == len(calls) > 1
+
+    @pytest.mark.parametrize("p, s", [(3, 0.0), (5, 0.0), (3, 1.2345)])
+    def test_result_carries_its_last_product(self, p, s):
+        result = solver.fixed_point_iterate(solver.SolverConfig(p), lambda t: erf(1.3 * (np.asarray(t) - s)))
+        kphi, scale = result.phi._panel_product
+        ts, breaks = result.grid.nodes, result.phi._panel_kernel.breaks
+        fresh = solver._PanelKernel(ts, breaks)
+        assert np.all(np.abs(kphi - fresh(result.phi(fresh.tau))[0]) <= 1e-15 * scale)
+        assert solver.residual(result.phi, p, ts=ts, breaks=breaks) == result.trace[-1]["residual"]
+        got = solver.apply_K_panels(result.phi, ts, breaks)
+        np.testing.assert_array_equal(got, kphi)
+        got[:] = 0.0  # a copy: the caller's array is its own
+        assert np.all(result.phi._panel_product[0] == kphi) and np.any(kphi != 0.0)
+
+    def test_a_run_that_stops_after_a_step_carries_no_product(self):
+        # max_iter stops after a step, whose new iterate K has not been applied to
+        result = solver.fixed_point_iterate(solver.SolverConfig(3, max_iter=2), erf)
+        assert result.status == "max_iter"
+        assert hasattr(result.phi, "_panel_kernel") and not hasattr(result.phi, "_panel_product")
+        ts = result.grid.nodes
+        kernel = solver._PanelKernel(ts, [0.0])
+        np.testing.assert_array_equal(solver.apply_K_panels(result.phi, ts, [0.0]), kernel(result.phi(kernel.tau))[0])
+
+    def test_the_kernel_dies_with_the_result(self):
+        # the product lives on the evaluator, so no cycle keeps the kernel's band alive
+        gc.disable()
+        try:
+            result = solver.fixed_point_iterate(solver.SolverConfig(3), erf)
+            kernel = weakref.ref(result.phi._panel_kernel)
+            assert kernel() is not None
+            del result
+            assert kernel() is None
+        finally:
+            gc.enable()
 
     def test_apply_K_panels_signature_is_stable(self):
         # the per-layer benchmark tracer binds these arguments by name
@@ -971,9 +1101,9 @@ class TestBandedKernel:
         phi, _ = solver.exact_gaussian_solution(3)
         ts = np.arange(-2.0, 2.01, 0.05)
         kernel = solver._PanelKernel(ts, [], 18.0)
-        kernel(np.cos)  # bounded: the narrow band's tail is below rounding
+        kernel(np.cos(kernel.tau))  # bounded: the narrow band's tail is below rounding
         assert kernel.full is None
-        got, _ = kernel(phi)  # phi(20) / phi(2) = e^264: only the whole window will do
+        got, _ = kernel(phi(kernel.tau))  # phi(20) / phi(2) = e^264: only the whole window will do
         assert kernel.full is not None and kernel.full is not kernel.narrow
         np.testing.assert_allclose(got, dense_K(phi, ts, [], halfwidth=18.0), rtol=1e-12)
         np.testing.assert_allclose(got, phi(ts) ** 3, rtol=1e-10)
