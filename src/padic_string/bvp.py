@@ -142,10 +142,6 @@ class LocalZeroReport:
 
 
 _FIT_S = np.geomspace(1e-3, 1e-1, 25)  # offsets s of the exponent fit
-# the first-moment rule of local_zero_analysis: nodes s on |s| <= 12, sides at the kink s = 0,
-# and weights w s e^{-s^2}
-_MOMENT_S, _MOMENT_W = panel_rule(-12.0, 12.0, breaks=(0.0,))
-_MOMENT_W = _MOMENT_W * _MOMENT_S * np.exp(-_MOMENT_S * _MOMENT_S)
 
 
 def local_zero_analysis(phi, q: int) -> LocalZeroReport:
@@ -171,7 +167,9 @@ def local_zero_analysis(phi, q: int) -> LocalZeroReport:
     odd_dev = float(np.max(np.abs(np.asarray(f(t0 + probes)) + np.asarray(f(t0 - probes)))))
     if odd_dev > 1e-3:
         raise ValueError(f"candidate is not odd about t0={t0} within 1e-3 (deviation {odd_dev:.2e})")
-    a1 = 2.0 * float(_MOMENT_W @ np.asarray(f(t0 + _MOMENT_S), dtype=float)) / SQRT_PI
+    tau, w = panel_rule(-12.0, 12.0, breaks=(0.0,))
+    fv = np.asarray(f(t0 + tau), dtype=float)
+    a1 = 2.0 * float((w * tau * np.exp(-tau * tau)) @ fv) / SQRT_PI
     return LocalZeroReport(
         a1=a1,
         fitted_exponent=_zero_exponent(f, t0, _FIT_S),

@@ -429,8 +429,6 @@ def _default_even_template(t):
 def _equation_root(psi, p: int, t, sign_template=None):
     """phi from its equation's power psi at t: sgn(psi) |psi|^(1/p) for odd p; for even p, which
     loses the sign, the template's sign (default sgn(t)) times max(psi, 0)^(1/p)."""
-    if p == 3:
-        return np.cbrt(psi)  # about 5 times faster than the power below
     if p % 2 == 1:
         return np.sign(psi) * np.abs(psi) ** (1.0 / p)
     template = _default_even_template if sign_template is None else sign_template
@@ -584,24 +582,18 @@ class IterationResult:
         return self.status == "converged"
 
 
-def _fft_length(m: int) -> int:
-    """The least 2^a 3^b 5^c >= m: each 3^b 5^c below 2m times the least power of 2 that reaches m."""
-    odd = (3**b * 5**c for b in range(m.bit_length() + 1) for c in range(m.bit_length() + 1))
-    return min(k << (-(-m // k) - 1).bit_length() for k in odd if k < 2 * m)
-
-
 def _preconditioner(p: int, h: float, n: int):
     """P = (I - K/p)^{-1} on n grid values of step h, as a map of numpy arrays.
 
     K e^{i xi t} = e^{-xi^2/4} e^{i xi t} (the paper's section 6), so P
     multiplies the plane wave of frequency xi by 1/(1 - e^{-xi^2/4}/p): one
-    rfft/irfft pair of the values zero-padded to nfft, the least
-    2^a 3^b 5^c >= n + 8/h (_fft_length), a length pocketfft factors fast.
-    The multiplier's poles nearest the real line sit at xi = +-2i sqrt(ln p),
-    so P's kernel decays like e^{-lambda |t|} with lambda = 2 sqrt(ln p),
-    and 8 units of zeros keep the periodic wrap-around below e^{-8 lambda}.
+    rfft/irfft pair of the values zero-padded to nfft, the first power of 2
+    >= n + 8/h.  The multiplier's poles nearest the real line sit at
+    xi = +-2i sqrt(ln p), so P's kernel decays like e^{-lambda |t|} with
+    lambda = 2 sqrt(ln p), and 8 units of zeros keep the periodic
+    wrap-around below e^{-8 lambda}.
     """
-    nfft = _fft_length(math.ceil(n + 8.0 / h))
+    nfft = 1 << (math.ceil(n + 8.0 / h) - 1).bit_length()
     xi = (2.0 * math.pi / (nfft * h)) * np.arange(nfft // 2 + 1)
     gain = 1.0 / (1.0 - np.exp(-0.25 * xi * xi) / p)
     return lambda f: np.fft.irfft(np.fft.rfft(f, nfft) * gain, nfft)[:n]
@@ -617,16 +609,18 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     first iterate, so it need not be smooth: every iteration applies K with
     the panel kernel whose sides are substituted at the iterate's sign
     changes, built once per break set and rebuilt only when a break
-    appears, vanishes or moves by more than _BREAK_TOL.  The first
-    iteration applies it to phi0 at the kernel's nodes tau; every later one
-    to the root of psi_tau = M psi, with psi the grid powers and M the
-    stencil map of power_interpolant onto tau (_stencil_map), built with
-    the kernel, so that a step builds no interpolant.  The breaks come from
-    the signs of the grid values: a node value of exactly 0 is a break, and
-    each strict sign bracket between nodes is bisected on the iterate's
-    power_interpolant, the refinement detect_sign_changes runs on its own
-    samples; only such a bracket, as an off-centre zero makes, builds one
-    inside the loop.  The returned evaluator is built once, after the loop.
+    appears, vanishes or moves by more than _BREAK_TOL.  The breaks come
+    from the signs of the grid values: a node value of exactly 0 is a
+    break, and each strict sign bracket between nodes is bisected on the
+    iterate's power_interpolant, the refinement detect_sign_changes runs on
+    its own samples.  The first iteration applies K to phi0 at the kernel's
+    nodes tau, and a step whose bracket built an interpolant, as an
+    off-centre zero makes, to that interpolant at tau.  A step with no
+    bracket, as when the zero is a grid node, builds no interpolant: it
+    applies K to the root of psi_tau = M psi, with psi the grid powers and
+    M the stencil map of power_interpolant onto tau (_stencil_map), built
+    by the first such step of each kernel.  The returned evaluator is built
+    once, after the loop.
     When the run made it (never on the caller's seed), it carries the last
     kernel as its _panel_kernel and, when the last step applied K to the
     returned iterate, that K phi and K|phi| as its _panel_product, for
@@ -694,10 +688,14 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         breaks = _refined_sign_changes(evaluate_lazily, ts, vals)
         built = apply_K is None or not _breaks_agree(breaks, apply_K.breaks)
         if built:
-            apply_K = _PanelKernel(ts, breaks)
-            to_tau = _stencil_map(ts, apply_K.tau)
+            apply_K, to_tau = _PanelKernel(ts, breaks), None
         power = _equation_power(vals, cfg.p)
-        fv = phi0(apply_K.tau) if it == 0 else _equation_root(to_tau(power), cfg.p, apply_K.tau, sign_template)
+        if evaluate is not None:  # the seed, or the interpolant a bracket needed
+            fv = evaluate(apply_K.tau)
+        else:
+            if to_tau is None:  # once per kernel, and only if a step needs it
+                to_tau = _stencil_map(ts, apply_K.tau)
+            fv = _equation_root(to_tau(power), cfg.p, apply_K.tau, sign_template)
         A, scale = product = apply_K(fv)
         f = A - power
         eq_res = float(np.max(np.abs(f)))

@@ -200,9 +200,9 @@ class TestPowerInterpolant:
         values = rng.uniform(-1e3, 1e3, n)
         t = lo + (nodes[-1] - lo) * rng.uniform(-0.25, 1.25, 40)
         powers = values * np.abs(values) ** 2
-        # p = 1 returns the interpolant itself; p = 3 its real cube root, by the package's root
+        # p = 1 returns the interpolant itself; p = 3 its real cube root
         got = solver.power_interpolant(nodes, powers, 1)(t)
-        assert np.array_equal(solver.power_interpolant(nodes, values, 3)(t), solver._equation_root(got, 3, t))
+        assert np.array_equal(solver.power_interpolant(nodes, values, 3)(t), np.sign(got) * np.abs(got) ** (1 / 3))
         # the piece of [x_i, x_i+1] interpolates the 8 nodes from x_i-3 on, moved inside the grid
         x = np.clip(t, lo, nodes[-1])
         piece = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, n - 2)
@@ -294,17 +294,21 @@ class TestStencilMap:
 
     def test_a_centred_solve_builds_one_interpolant(self, monkeypatch):
         # the zero of a centred kink is the node 0, so no step has a bracket to bisect:
-        # the one interpolant is the returned evaluator
-        built = []
-        original = solver.power_interpolant
+        # the one interpolant is the returned evaluator, and each kernel gets one map
+        built, maps = [], []
+        original, original_map = solver.power_interpolant, solver._stencil_map
         monkeypatch.setattr(solver, "power_interpolant", lambda *args: built.append(args) or original(*args))
+        monkeypatch.setattr(solver, "_stencil_map", lambda *args: maps.append(args) or original_map(*args))
         result = solver.fixed_point_iterate(solver.SolverConfig(3), erf)
         assert result.converged and result.iterations > 2
         assert len(built) == 1
-        # an off-centre zero is bisected on every step after the seed's, and the last serves the result
-        built.clear()
+        assert len(maps) == sum(entry["kernel_built"] for entry in result.trace)
+        # an off-centre zero is bisected on every step after the seed's, whose interpolant then gives
+        # the kernel's node values, so no map is built; the last interpolant serves the result
+        built.clear(), maps.clear()
         result = solver.fixed_point_iterate(solver.SolverConfig(3), lambda t: erf(1.3 * (np.asarray(t) - 1.2345)))
         assert result.converged and len(built) == result.iterations - 1
+        assert maps == []
 
 
 class TestFixedPoint:
@@ -519,13 +523,14 @@ def secant_map(p: int) -> tuple[list, np.ndarray]:
             psi, depth = power + pf - (dpf @ pf) / (dpf @ dpf) * dg, 1
         previous = (power + pf, pf)
         psi = np.where(np.abs(psi) < 64 * np.finfo(float).eps * scale, 0.0, psi)
-        root = solver._equation_root(psi, p, ts)
+        root = np.sign(psi) * np.abs(psi) ** (1.0 / p)
         trace.append({"iteration": len(trace), "change": float(np.max(np.abs(root - vals))), "residual": res,
                       "depth": depth, "kernel_built": not trace})
         if res < 1e-10:
             return trace, vals
         vals = root
-        at_tau = solver._equation_root(to_tau(vals * np.abs(vals) ** (p - 1)), p, kernel.tau)
+        mapped = to_tau(vals * np.abs(vals) ** (p - 1))
+        at_tau = np.sign(mapped) * np.abs(mapped) ** (1.0 / p)
 
 
 class TestAndersonMixing:
@@ -590,22 +595,6 @@ class TestPreconditioner:
                 assert np.all(err <= np.exp(-lam * (halfwidth - np.abs(ts[sel]))))
             else:
                 assert err.max() < 1e-10
-
-
-    @pytest.mark.parametrize("step", [0.0125, 0.025, 0.05, 0.25])
-    def test_pads_to_the_least_5_smooth_length(self, step):
-        n = 2 * round(10.0 / step) + 1
-        m = math.ceil(n + 8.0 / step)  # at least 8 units of zeros: the wrap-around stays below e^{-8 lambda}
-
-        def smooth(k):
-            for q in (2, 3, 5):
-                while k % q == 0:
-                    k //= q
-            return k == 1
-
-        nfft = solver._fft_length(m)
-        assert nfft >= m and smooth(nfft) and not any(smooth(k) for k in range(m, nfft))
-        assert nfft == {0.0125: 2250, 0.025: 1125, 0.05: 576, 0.25: 120}[step]
 
     @pytest.mark.parametrize("step", [0.0125, 0.025, 0.05, 0.25])
     def test_wrap_around_bound_holds_at_each_step(self, step):
