@@ -67,7 +67,12 @@ def _write_json(path: str, obj) -> str:
 
 
 def _grid(args) -> np.ndarray:
-    n = int(round((args.tmax - args.tmin) / args.step))
+    span = args.tmax - args.tmin
+    if not span / args.step < solver._MAX_INTERVALS + 0.5:
+        raise ValueError(f"--step {args.step} cuts [{args.tmin}, {args.tmax}] into more than "
+                         f"{solver._MAX_INTERVALS} intervals; the smallest step that fits is "
+                         f"{span / solver._MAX_INTERVALS}")
+    n = int(round(span / args.step))
     return np.linspace(args.tmin, args.tmin + n * args.step, n + 1)
 
 

@@ -51,6 +51,14 @@ class EvaluationError(ValueError):
         self.node = node
 
 
+def _require_finite(values, nodes, what: str) -> None:
+    """Raise EvaluationError "non-finite {what}={node}" at the first non-finite value, in C order."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        node = float(np.ravel(nodes)[np.argmin(finite.ravel())])
+        raise EvaluationError(f"non-finite {what}={node}", node)
+
+
 @dataclass(frozen=True)
 class TaylorSeries:
     """Truncated entire-function data A(t) = sum coeffs[n] t^n / n!."""
@@ -89,10 +97,7 @@ def gauss_moment(f, t, rule: QuadratureRule, x: float = 1.0, k: int = 0):
     t = np.asarray(t, dtype=float)
     shifted = t[..., None] - math.sqrt(x) * rule.nodes
     fv = np.asarray(f(shifted.ravel()), dtype=float).reshape(shifted.shape)
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        node = float(shifted[bad][0])
-        raise EvaluationError(f"non-finite integrand value at tau={node}", node)
+    _require_finite(fv, shifted, "integrand value at tau")
     out = fv @ (rule.weights * rule.nodes**k) / SQRT_PI
     return out if out.shape else float(out)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import GridFunction, QuadratureRule, _three_term, gauss_hermite_rule
 from .gaussop import gauss_moment
-from .solver import _bisect, _sign_brackets, _zero_exponent, apply_K_panels, detect_sign_changes, panel_rule
+from .solver import _sign_brackets, _zero_exponent, apply_K_panels, detect_sign_changes, panel_rule
 
 __all__ = [
     "ZeroReport",
@@ -224,8 +224,8 @@ def zero_report(g: GridFunction) -> ZeroReport:
 
     A node gap whose value change exceeds _JUMP_FACTOR = 8 times the median
     neighbour change is reported as a discontinuity of the first kind (at
-    the gap's midpoint) with its saltus; remaining sign changes are refined
-    by bisection on the interpolant and, with exact zeros at nodes,
+    the gap's midpoint) with its saltus; remaining sign changes are located
+    where g, linear between nodes, crosses 0 and, with exact zeros at nodes,
     classified by the log-log fit of |g(t0 + s)| (multiplicity, rounded
     to the nearest integer >= 1; 1 where g vanishes on the ladder).  The
     ladder is whole grid steps, s = 2^m h <= 1/2 for m >= 1 (two rungs at
@@ -248,6 +248,6 @@ def zero_report(g: GridFunction) -> ZeroReport:
     is_jump = dv[idx] > _JUMP_FACTOR * med
     jumps = [(float(0.5 * (t[i] + t[i + 1])), float(v[i + 1] - v[i])) for i in idx[is_jump]]
     smooth = idx[~is_jump]
-    located = _bisect(g, t[smooth], t[smooth + 1]) if smooth.size else smooth
+    located = t[smooth] + (t[smooth + 1] - t[smooth]) * v[smooth] / (v[smooth] - v[smooth + 1])  # the chord's 0
     zeros = sorted((float(z), multiplicity_at(float(z))) for z in np.concatenate([located, exact]))
     return ZeroReport(zeros=zeros, jumps=jumps)

@@ -36,7 +36,7 @@ from .basis import (
     hermite_table,
     modified_hermite_table,
 )
-from .gaussop import EvaluationError
+from .gaussop import _require_finite
 
 __all__ = [
     "SolverConfig",
@@ -259,9 +259,7 @@ class _PanelKernel:
         The second is the scale of K f's rounding.  A scalar fv is a constant f.
         """
         fv = np.broadcast_to(np.asarray(fv, dtype=float), self.tau.shape)
-        if not np.isfinite(fv).all():
-            node = float(self.tau[np.argmin(np.isfinite(fv))])
-            raise EvaluationError(f"non-finite integrand value at tau={node}", node)
+        _require_finite(fv, self.tau, "integrand value at tau")
         weighted = self.w * fv
         weighted = np.stack([weighted, np.abs(weighted)])  # the rows of f and |f|
         near = self._product(self.narrow, weighted)
@@ -293,18 +291,23 @@ def apply_K_panels(f, ts, breaks=(), halfwidth: float = 12.0) -> np.ndarray:
     growing like exp(c t^2) gets the full halfwidth, which must then be
     wide enough for the kernel to beat the growth (see _PanelKernel).  A
     non-finite value of f raises EvaluationError naming the first panel
-    node where it occurs.  An f that carries a _panel_kernel attribute, as
-    the evaluator a fixed_point_iterate run made does, has it reused when
-    it fits ts, breaks and halfwidth, and when f also carries the run's
-    last product, _panel_product, a copy of that K f is returned without
-    applying the kernel again; any other call builds a kernel.
+    node where it occurs.  An f that carries a _panel = (kernel, K f or
+    None) attribute, as the evaluator a fixed_point_iterate run made does,
+    has that kernel reused when it fits ts, breaks and halfwidth, and a
+    copy of its K f returned, when there is one, without applying the
+    kernel again; any other call builds a kernel.
     """
-    kernel = getattr(f, "_panel_kernel", None)
+    kernel, kf = getattr(f, "_panel", (None, None))
     if kernel is None or not kernel.fits(ts, breaks, halfwidth):
         kernel = _PanelKernel(ts, breaks, halfwidth)
-    elif hasattr(f, "_panel_product"):
-        return f._panel_product[0].copy()
+    elif kf is not None:
+        return kf.copy()
     return kernel(f(kernel.tau))[0]
+
+
+# The most intervals of a grid: at 2^16 a solve's kernel, about 291 band entries per row, takes about
+# 150 MB.  Finer steps are rejected before anything is allocated.
+_MAX_INTERVALS = 2**16
 
 
 @dataclass(frozen=True)
@@ -313,10 +316,11 @@ class SolverConfig:
 
     The iteration stops once its residual max-norm drops below tol, or
     after max_iter steps.  p must be at least 2.  The grid has step
-    grid_step on [-grid_halfwidth, grid_halfwidth]; a step that leaves
-    fewer nodes than one stencil of power_interpolant (_STENCIL = 8), or
-    that does not divide the halfwidth, is rejected, naming the largest
-    step that fits or the nearest that divides.
+    grid_step on [-grid_halfwidth, grid_halfwidth]; a step that makes more
+    than _MAX_INTERVALS = 2^16 intervals, that leaves fewer nodes than one
+    stencil of power_interpolant (_STENCIL = 8), or that does not divide
+    the halfwidth, is rejected, naming the smallest or largest step that
+    fits or the nearest that divides.
     """
 
     p: int
@@ -336,6 +340,9 @@ class SolverConfig:
             raise ValueError(f"grid halfwidth must be finite and >= 5, got {self.grid_halfwidth}")
         if not 0 < self.grid_step < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
+        if not 2 * self.grid_halfwidth / self.grid_step < _MAX_INTERVALS + 1:
+            raise ValueError(f"grid step {self.grid_step} makes more than {_MAX_INTERVALS} grid intervals; "
+                             f"the smallest step that fits is {2 * self.grid_halfwidth / _MAX_INTERVALS}")
         n = round(self.grid_halfwidth / self.grid_step)
         if 2 * n + 1 < _STENCIL:
             raise ValueError(f"grid step {self.grid_step} leaves {2 * n + 1} grid nodes, fewer than the "
@@ -439,23 +446,23 @@ _STENCIL = 8  # nodes per interpolating polynomial of power_interpolant: degree 
 
 
 def _lagrange_maps() -> np.ndarray:
-    """maps[k] takes values at y = -k, .., 7 - k to the coefficients of y^0 .. y^7 through them.
+    """The pieces of power_interpolant by [power of y, node j, offset k]; k = 7 is the last node's constant.
 
-    Column j of maps[k] is the Lagrange polynomial of the j-th node: the
-    integer polynomial prod_{l != j} (y - y_l), exact in floats, over the
+    At k < 7, node j's column is its Lagrange polynomial on y = -k, .., 7 - k:
+    the integer polynomial prod_{l != j} (y - y_l), exact in floats, over the
     integer prod_{l != j} (j - l), so each entry is rounded once.  The
     inverse of the Vandermonde matrix of y = 0 .. 7 is off by up to 3e-11.
     """
     m = _STENCIL
-    ys = np.arange(m) - np.arange(m - 1)[:, None]  # row k: the nodes of maps[k]
-    numerators = np.zeros((m - 1, m, m))  # [k, j, power of y]
-    numerators[..., 0] = 1.0
+    ys = np.arange(m) - np.arange(m - 1)[:, None]  # row k: the nodes of offset k
+    numerators = np.zeros((m, m, m - 1))  # [power of y, node j, offset k < 7]
+    numerators[0] = 1.0
     for l in range(m):  # times (y - y_l) for every node j but l
-        times = np.concatenate([np.zeros((m - 1, m, 1)), numerators[..., :-1]], axis=-1)
-        times -= ys[:, l, None, None] * numerators
+        times = np.concatenate([np.zeros((1, m, m - 1)), numerators[:-1]])
+        times -= ys[:, l] * numerators
         numerators = np.where(np.arange(m)[:, None] == l, numerators, times)
     denominators = [(-1) ** (m - 1 - j) * math.factorial(j) * math.factorial(m - 1 - j) for j in range(m)]
-    return np.swapaxes(numerators / np.array(denominators, dtype=float)[:, None], 1, 2)
+    return np.dstack([numerators / np.array(denominators, dtype=float)[:, None], np.eye(m, k=m - 1)])
 
 
 _STENCIL_MAPS = _lagrange_maps()
@@ -503,24 +510,28 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     one step h = (last - first) / (n - 1), each gap within 64 eps max |node|
     of h, as linspace and arange round them, and each must have a value
     with a finite power; other input raises ValueError.  Each piece is
-    stored as coefficients in y = (t - x_i) / h, with its node's power as
-    the constant term, so it meets every node value exactly.  Its values
-    at points fixed in advance, as the panel nodes of fixed_point_iterate's
+    stored as coefficients in y = (t - x_i) / h, its stencil's powers times
+    its offset's column of _STENCIL_MAPS, with its node's power as the
+    constant term, so it meets every node value exactly.  Its values at
+    points fixed in advance, as the panel nodes of fixed_point_iterate's
     kernel, are also a linear map of the powers (_stencil_map), which
-    locates the points as the evaluator does and agrees with it to a few
-    ulp of the stencil's powers.
+    gathers from that table, locates the points as the evaluator does and
+    agrees with it to a few ulp of the stencil's powers.
     """
     knots, h = _uniform_knots(nodes)
     nodes, n = knots[:-1], knots.size - 1
     powers = _equation_power(np.asarray(values, dtype=float), p)
     if powers.shape != nodes.shape or not np.all(np.isfinite(powers)):
         raise ValueError("the power interpolant needs one value per node, with a finite p-th power")
-    # column i: the piece on [nodes[i], nodes[i+1]], which takes the map of stencil offset
-    # k = i - (first stencil node); column n-1 is the constant from the last node on
+    # column i: the piece on [nodes[i], nodes[i+1]], at stencil offset k = i - (first stencil node), and
+    # column n-1 the last node's constant.  @ gets these contiguous layouts of the table on purpose: the
+    # order in which BLAS adds the 8 terms, so the coefficients' last bits, depends on the layout
+    by_node = _STENCIL_MAPS.transpose(1, 0, 2).reshape(_STENCIL, -1)  # [node j, 8 (power of y) + k]
     coeffs = np.zeros((_STENCIL, n))
-    coeffs[:, :3] = (_STENCIL_MAPS[:3] @ powers[:_STENCIL]).T  # the first three pieces, k = 0, 1, 2
-    coeffs[:, n - 4 : n - 1] = (_STENCIL_MAPS[-3:] @ powers[-_STENCIL:]).T  # the last three, k = 4, 5, 6
-    coeffs[:, 3 : n - 4] = _STENCIL_MAPS[3] @ np.lib.stride_tricks.sliding_window_view(powers, _STENCIL).T
+    coeffs[:, :3] = (powers[:_STENCIL] @ by_node).reshape(_STENCIL, -1)[:, :3]  # the first three pieces
+    coeffs[:, n - 4 : n - 1] = (powers[-_STENCIL:] @ by_node).reshape(_STENCIL, -1)[:, 4:7]  # the last three
+    windows = np.lib.stride_tricks.sliding_window_view(powers, _STENCIL).T
+    coeffs[:, 3 : n - 4] = np.asfortranarray(_STENCIL_MAPS[..., 3]) @ windows
     coeffs[0] = powers
 
     def phi(t):
@@ -537,13 +548,6 @@ def power_interpolant(nodes, values, p: int, sign_template=None):
     return phi
 
 
-# _STENCIL_MAPS by [power of y, node, offset k], and at k = 7 the constant from the last node,
-# which is a piece of its own
-_PIECE_MAPS = np.zeros((_STENCIL, _STENCIL, _STENCIL))
-_PIECE_MAPS[..., :-1] = _STENCIL_MAPS.transpose(1, 2, 0)
-_PIECE_MAPS[0, -1, -1] = 1.0
-
-
 def _stencil_map(nodes, t):
     """The linear map from the equation's powers at nodes to power_interpolant's power at the points t.
 
@@ -551,14 +555,14 @@ def _stencil_map(nodes, t):
     (_locate), clipped to the grid, so past its ends the edge power repeats
     as a constant.  The map keeps, per point, the first node of its piece's
     stencil and the 8 weights of the piece's polynomial at its offset y:
-    the rows of its Lagrange map, summed by Horner in y.  The returned
+    its offset's column of _STENCIL_MAPS, summed by Horner in y.  The returned
     callable takes the powers psi at nodes to sum_j w_j psi_j at each
     point: one gather and one product, with no interpolant to build.
     """
     knots, h = _uniform_knots(nodes)
     i, y = _locate(knots, h, np.asarray(t, dtype=float))
     start = np.clip(i - 3, 0, knots.size - 1 - _STENCIL)  # power_interpolant's stencil of each piece
-    maps = _PIECE_MAPS.take(i - start, axis=2)  # [power of y, node of the stencil, point]
+    maps = _STENCIL_MAPS.take(i - start, axis=2)  # [power of y, node of the stencil, point]
     weights = maps[-1]
     for row in maps[-2::-1]:
         weights *= y
@@ -621,10 +625,9 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     M the stencil map of power_interpolant onto tau (_stencil_map), built
     by the first such step of each kernel.  The returned evaluator is built
     once, after the loop.
-    When the run made it (never on the caller's seed), it carries the last
-    kernel as its _panel_kernel and, when the last step applied K to the
-    returned iterate, that K phi and K|phi| as its _panel_product, for
-    apply_K_panels and residual on the grid at those breaks.
+    When the run made it (never on the caller's seed), it carries _panel:
+    the last kernel and, if the last step applied K to the returned
+    iterate, that K phi (else None), for apply_K_panels and residual.
 
     The steps are Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni,
     SIAM J. Numer. Anal. 49, 2011) in the power variable psi = phi^p of the
@@ -655,7 +658,8 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     history differences its step mixed (0 for a plain step, 1 for a secant), and
     'kernel_built', whether that iteration built a panel kernel.  An
     infeasible entry also has 'min_Kphi', the least grid value of K phi,
-    and 'min_Kphi_at', the node where it falls.
+    and 'min_Kphi_at', the node where it falls.  Every iteration appends
+    one entry before any exit, so the result's iterations is len(trace).
     The change of phi, which stalls at eps^(1/p) at a zero on a grid node,
     decides only 'diverged'.  A seed with a non-finite value at a grid or
     panel node raises EvaluationError naming the first such node.
@@ -666,10 +670,7 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
     precondition = _preconditioner(cfg.p, L / n_half, ts.size)
 
     vals = np.asarray(phi0(ts), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        node = float(ts[bad[0]])
-        raise EvaluationError(f"non-finite seed value at t={node}", node)
+    _require_finite(vals, ts, "seed value at t")
     evaluate = phi0  # vals' evaluator; None until a bracket or the result needs one
 
     def evaluate_lazily(t):
@@ -680,11 +681,9 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
 
     trace = []
     status = "max_iter"
-    iterations = 0
-    apply_K = product = None
+    apply_K = None
     previous = None  # (phi^p + P f, P f) of the last step, None before the first and after a restart
     for it in range(cfg.max_iter):
-        iterations = it + 1
         breaks = _refined_sign_changes(evaluate_lazily, ts, vals)
         built = apply_K is None or not _breaks_agree(breaks, apply_K.breaks)
         if built:
@@ -696,13 +695,13 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
             if to_tau is None:  # once per kernel, and only if a step needs it
                 to_tau = _stencil_map(ts, apply_K.tau)
             fv = _equation_root(to_tau(power), cfg.p, apply_K.tau, sign_template)
-        A, scale = product = apply_K(fv)
+        A, scale = apply_K(fv)  # A is K phi of vals until a step moves them
         f = A - power
         eq_res = float(np.max(np.abs(f)))
+        entry = {"iteration": it, "change": None, "residual": eq_res, "depth": 0, "kernel_built": built}
         low = int(np.argmin(A))
         if cfg.p % 2 == 0 and A[low] < -cfg.tol:
-            trace.append({"iteration": it, "change": None, "residual": eq_res, "depth": 0, "kernel_built": built,
-                          "min_Kphi": float(A[low]), "min_Kphi_at": float(ts[low])})
+            trace.append(entry | {"min_Kphi": float(A[low]), "min_Kphi_at": float(ts[low])})
             status = "infeasible"
             break
         if trace and eq_res >= trace[-1]["residual"]:
@@ -718,48 +717,44 @@ def fixed_point_iterate(cfg: SolverConfig, phi0, sign_template=None) -> Iteratio
         # ~1e-6 at double precision); snap sub-noise values to an exact zero
         psi = np.where(np.abs(psi) < 64 * np.finfo(float).eps * scale, 0.0, psi)
         root = _equation_root(psi, cfg.p, ts, sign_template)
-        trace.append({"iteration": it, "change": float(np.max(np.abs(root - vals))), "residual": eq_res,
-                      "depth": depth, "kernel_built": built})
+        trace.append(entry | {"change": float(np.max(np.abs(root - vals))), "depth": depth})
         if eq_res < cfg.tol:
             status = "converged"
             break
-        vals, evaluate, product = root, None, None
-        recent = [entry["change"] for entry in trace[-20:]]
+        vals, evaluate, A = root, None, None
+        recent = [e["change"] for e in trace[-20:]]
         if len(recent) == 20 and all(x < y for x, y in zip(recent, recent[1:])):
             status = "diverged"
             break
     if evaluate is None:
         evaluate = power_interpolant(ts, vals, cfg.p, sign_template)
     if evaluate is not phi0:  # the caller's seed outlives the run
-        evaluate._panel_kernel = apply_K
-        if product is not None:  # K of the returned iterate: its own, not the kernel's, which serves any fit
-            evaluate._panel_product = product
+        # K of the returned iterate lives here, not on the kernel, which serves any fit
+        evaluate._panel = (apply_K, A)
     return IterationResult(
         grid=GridFunction(nodes=ts, values=vals),
         phi=evaluate,
         status=status,
-        iterations=iterations,
+        iterations=len(trace),
         trace=trace,
     )
 
 
-def residual(phi, p: int, ts=None, breaks=None, halfwidth: float = 12.0) -> float:
-    """max_t |K phi(t) - phi(t)^p| over the evaluation grid, phi^p being |phi|^p for even p.
+def residual(phi, p: int, ts, breaks=None, halfwidth: float = 12.0) -> float:
+    """max |K phi(t) - phi(t)^p| over the sample points ts, phi^p being |phi|^p for even p.
 
-    K phi is one apply_K_panels call: the kink-aware panel rule, with break
-    points defaulting to the sign changes of phi, which is where candidate
-    solutions lose smoothness.  halfwidth is the integration window beyond
+    The window is the caller's.  K phi is one apply_K_panels call: the
+    kink-aware panel rule, with break points defaulting to the sign changes
+    of phi, which is where candidate solutions lose smoothness.  halfwidth is the integration window beyond
     the samples.  The kernel narrows its band per call when the stated
     tail bound allows it (the banded _PanelKernel), so only candidates
     growing like exp(c t^2) use the whole window, which must then be
     widened until the kernel beats the growth.  The evaluator of a
-    fixed_point_iterate result carries its run's kernel, which is reused on
-    the run's grid and breaks, and, when the run's last step applied K to
-    the returned iterate, that K phi, which is then taken as it is: the
-    grid check of a converged run applies no kernel.
+    fixed_point_iterate result carries its run's kernel and last K phi as
+    _panel; on the run's grid and breaks the kernel is reused and that
+    K phi, when there is one, taken as it is: the grid check of a converged
+    run applies no kernel.
     """
-    if ts is None:
-        ts = phi.nodes if isinstance(phi, GridFunction) else np.arange(-2.0, 2.0 + 0.025, 0.05)
     ts = np.asarray(ts, dtype=float)
     if breaks is None:
         breaks = detect_sign_changes(phi)

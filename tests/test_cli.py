@@ -145,6 +145,19 @@ class TestSolveCommand:
         assert "largest step that fits is 2.5" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, smallest", [
+        (["solve", "--p", "3", "--out-prefix", "st"], "0.00030517578125"),
+        (["hermite", "--n", "3"], "9.1552734375e-05"),
+    ])
+    def test_step_past_the_interval_bound_is_usage_error(self, argv, smallest, capsys, tmp_path, monkeypatch):
+        # 1e-15 would ask numpy for petabytes; the grid is rejected before it is allocated
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(argv + ["--step", "1e-15"], capsys)
+        assert code == 2
+        assert "more than 65536" in err and f"smallest step that fits is {smallest}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_step_leaving_nine_nodes_runs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         code, _, _ = run(["solve", "--p", "3", "--step", "2.5", "--out-prefix", "st"], capsys)

@@ -56,6 +56,7 @@ class TestApplyKGrid:
         with pytest.raises(gaussop.EvaluationError) as err:
             smooth(bad, ts, rule96)
         assert err.value.node == expected
+        assert str(err.value) == f"non-finite integrand value at tau={expected}"
         node_major = (ts[None, :] - rule96.nodes[:, None]).ravel()
         assert node_major[np.flatnonzero(np.isnan(bad(node_major)))[0]] != expected
 

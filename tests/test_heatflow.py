@@ -392,6 +392,16 @@ class TestZeroClassification:
         assert jump_loc == pytest.approx(1.0, abs=0.05)
         assert saltus == pytest.approx(-4.0, abs=0.1)
 
+    @pytest.mark.parametrize("zero", [0.0123, -0.0123, 1.0 / 3.0])
+    def test_zero_report_locates_an_off_node_zero(self, zero):
+        # the grid function is linear between nodes, so its zero is the chord's
+        ts = np.arange(-80, 81) / 40.0
+        report = heatflow.zero_report(basis.GridFunction(ts, ts - zero))
+        assert len(report.zeros) == 1 and not report.jumps
+        loc, mult = report.zeros[0]
+        assert abs(loc - zero) <= 2 * abs(np.spacing(zero))
+        assert mult == 1
+
     def test_zero_report_multiplicity_three(self):
         ts = np.linspace(-2, 2, 161)
         report = heatflow.zero_report(basis.GridFunction(ts, ts**3))

@@ -218,8 +218,8 @@ class TestPowerInterpolant:
         assert np.max(np.abs(solver.power_interpolant(nodes, q(nodes), 1)(x) - q(x))) <= 1e-13 * np.sum(np.abs(coef))
 
     def test_stencil_maps_are_the_lagrange_coefficients_rounded_once(self):
-        maps = solver._STENCIL_MAPS
-        assert maps.shape == (7, 8, 8)
+        maps = solver._STENCIL_MAPS  # [power of y, node j, offset k]
+        assert maps.shape == (8, 8, 8)
         for k in range(7):
             ys = range(-k, 8 - k)
             for j, yj in enumerate(ys):
@@ -227,7 +227,11 @@ class TestPowerInterpolant:
                 for yl in ys:
                     if yl != yj:
                         coeffs = [(a - yl * b) / (yj - yl) for a, b in zip([0] + coeffs, coeffs + [0])]
-                assert maps[k, :, j].tolist() == [float(c) for c in coeffs]
+                assert maps[:, j, k].tolist() == [float(c) for c in coeffs]
+        # offset 7 is the last node's piece of its own: the constant of its power
+        last = np.zeros((8, 8))
+        last[0, 7] = 1.0
+        assert np.array_equal(maps[..., 7], last)
 
     @pytest.mark.parametrize("nodes", [np.linspace(-10, 10, 801), np.arange(-2.0, 2.025, 0.05),
                                        np.linspace(0.1, 7.3, 999), np.linspace(-1.0, 2.0, 8)])
@@ -311,6 +315,17 @@ class TestStencilMap:
         assert maps == []
 
 
+class DoublingKernel:
+    """A stand-in panel kernel whose every step doubles phi, its nodes being the rows."""
+
+    def __init__(self, ts, breaks=(), halfwidth=12.0):
+        self.tau, self.breaks = ts, list(breaks)
+
+    def __call__(self, fv):
+        A = (2.0 * np.broadcast_to(fv, self.tau.shape)) ** 3
+        return A, np.abs(A)
+
+
 class TestFixedPoint:
     def test_exact_solution_is_fixed_in_one_step(self):
         for p, template in ((2, const_one), (3, None)):
@@ -375,15 +390,7 @@ class TestFixedPoint:
     def test_growing_changes_end_diverged(self, monkeypatch):
         # a kernel whose every step doubles phi: the change of phi then grows
         # strictly, and 20 such changes in a row stop the run
-        class Doubling:
-            def __init__(self, ts, breaks=(), halfwidth=12.0):
-                self.tau, self.breaks = ts, list(breaks)  # its nodes are the rows
-
-            def __call__(self, fv):
-                A = (2.0 * np.broadcast_to(fv, self.tau.shape)) ** 3
-                return A, np.abs(A)
-
-        monkeypatch.setattr(solver, "_PanelKernel", Doubling)
+        monkeypatch.setattr(solver, "_PanelKernel", DoublingKernel)
         result = solver.fixed_point_iterate(solver.SolverConfig(p=3), erf)
         assert (result.status, result.iterations) == ("diverged", 20)
         changes = [entry["change"] for entry in result.trace]
@@ -392,6 +399,21 @@ class TestFixedPoint:
     def test_p_one_rejected(self):
         with pytest.raises(ValueError):
             solver.fixed_point_iterate(solver.SolverConfig(p=1), const_one)
+
+    @pytest.mark.parametrize("status, cfg, seed", [
+        ("converged", solver.SolverConfig(p=3), erf),
+        ("infeasible", solver.SolverConfig(p=2, max_iter=10), np.sin),
+        ("max_iter", solver.SolverConfig(p=3, max_iter=2), erf),
+        ("diverged", solver.SolverConfig(p=3), erf),
+    ])
+    def test_iterations_count_the_trace_entries(self, status, cfg, seed, monkeypatch):
+        # every iteration appends one trace entry before any exit
+        if status == "diverged":
+            monkeypatch.setattr(solver, "_PanelKernel", DoublingKernel)
+        result = solver.fixed_point_iterate(cfg, seed)
+        assert result.status == status
+        assert result.iterations == len(result.trace) > 0
+        assert [entry["iteration"] for entry in result.trace] == list(range(result.iterations))
 
     def test_trace_is_json_friendly(self, solved_p3):
         entry = solved_p3.trace[0]
@@ -410,6 +432,7 @@ class TestFixedPoint:
         with pytest.raises(gaussop.EvaluationError) as err:
             solver.fixed_point_iterate(solver.SolverConfig(p=3), seed)
         assert err.value.node == 0.0
+        assert str(err.value) == "non-finite seed value at t=0.0"
 
     def test_grid_function_seed_matches_the_callable_seed(self):
         # a GridFunction is a callable seed: its linear interpolant is the first iterate
@@ -733,7 +756,7 @@ class TestKernelReuse:
         calls = self.count_panel_rules(monkeypatch)
         result = solver.fixed_point_iterate(solver.SolverConfig(p=3), const_one)
         assert result.phi is const_one
-        assert not hasattr(const_one, "_panel_kernel")
+        assert not hasattr(const_one, "_panel")
         solver.residual(const_one, 3, ts=result.grid.nodes, breaks=[])
         assert len(calls) == 2
 
@@ -771,21 +794,22 @@ class TestKernelReuse:
     @pytest.mark.parametrize("p, s", [(3, 0.0), (5, 0.0), (3, 1.2345)])
     def test_result_carries_its_last_product(self, p, s):
         result = solver.fixed_point_iterate(solver.SolverConfig(p), lambda t: erf(1.3 * (np.asarray(t) - s)))
-        kphi, scale = result.phi._panel_product
-        ts, breaks = result.grid.nodes, result.phi._panel_kernel.breaks
+        kernel, kphi = result.phi._panel
+        ts, breaks = result.grid.nodes, kernel.breaks
         fresh = solver._PanelKernel(ts, breaks)
-        assert np.all(np.abs(kphi - fresh(result.phi(fresh.tau))[0]) <= 1e-15 * scale)
+        own, scale = fresh(result.phi(fresh.tau))  # scale: K|phi|, the size of K phi's rounding
+        assert np.all(np.abs(kphi - own) <= 1e-15 * scale)
         assert solver.residual(result.phi, p, ts=ts, breaks=breaks) == result.trace[-1]["residual"]
         got = solver.apply_K_panels(result.phi, ts, breaks)
         np.testing.assert_array_equal(got, kphi)
         got[:] = 0.0  # a copy: the caller's array is its own
-        assert np.all(result.phi._panel_product[0] == kphi) and np.any(kphi != 0.0)
+        assert np.all(result.phi._panel[1] == kphi) and np.any(kphi != 0.0)
 
     def test_a_run_that_stops_after_a_step_carries_no_product(self):
         # max_iter stops after a step, whose new iterate K has not been applied to
         result = solver.fixed_point_iterate(solver.SolverConfig(3, max_iter=2), erf)
         assert result.status == "max_iter"
-        assert hasattr(result.phi, "_panel_kernel") and not hasattr(result.phi, "_panel_product")
+        assert result.phi._panel[0] is not None and result.phi._panel[1] is None
         ts = result.grid.nodes
         kernel = solver._PanelKernel(ts, [0.0])
         np.testing.assert_array_equal(solver.apply_K_panels(result.phi, ts, [0.0]), kernel(result.phi(kernel.tau))[0])
@@ -795,7 +819,7 @@ class TestKernelReuse:
         gc.disable()
         try:
             result = solver.fixed_point_iterate(solver.SolverConfig(3), erf)
-            kernel = weakref.ref(result.phi._panel_kernel)
+            kernel = weakref.ref(result.phi._panel[0])
             assert kernel() is not None
             del result
             assert kernel() is None
@@ -1118,18 +1142,19 @@ class TestBandedKernel:
         with pytest.raises(gaussop.EvaluationError) as err:
             solver.apply_K_panels(f, np.linspace(-2.0, 2.0, 9))
         assert 3.0 < err.value.node < 3.5
+        assert str(err.value) == f"non-finite integrand value at tau={err.value.node}"
 
     def test_residual_rejects_nonfinite_candidate(self):
         f = lambda t: np.where(np.asarray(t) < -5.0, np.inf, np.tanh(t))
         with pytest.raises(gaussop.EvaluationError) as err:
-            solver.residual(f, 3)
+            solver.residual(f, 3, ts=np.arange(-2.0, 2.025, 0.05))
         # the first panel node below -5 in a window reaching 12 past |t| <= 2
         assert -14.0 <= err.value.node < -5.0
 
 
 class TestResidual:
     def test_constant(self):
-        assert solver.residual(const_one, 3) < 1e-12
+        assert solver.residual(const_one, 3, ts=np.arange(-2.0, 2.025, 0.05)) < 1e-12
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_exact_solution(self, p):
@@ -1284,6 +1309,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("halfwidth, step", [(10.0, 0.025), (10.0, 0.05), (10.0, 0.1), (12.0, 0.05)])
     def test_steps_in_use_divide_their_halfwidth(self, halfwidth, step):
         solver.SolverConfig(p=3, grid_halfwidth=halfwidth, grid_step=step)
+
+    @pytest.mark.parametrize("step", [1e-15, 5e-324, 0.0003051])
+    def test_grid_past_the_interval_bound_is_rejected(self, step):
+        # 2^16 intervals of [-10, 10] at the finest; checked before any grid is allocated
+        with pytest.raises(ValueError, match=r"more than 65536 grid intervals; the smallest step that fits is "
+                                             r"0\.00030517578125"):
+            solver.SolverConfig(p=3, grid_step=step)
+        solver.SolverConfig(p=3, grid_step=10.0 / 2**15)  # the bound itself is a grid; none is built here
 
     def test_fields(self):
         fields = [f.name for f in dataclasses.fields(solver.SolverConfig)]
